@@ -82,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="independent brute-force counts")
     p.add_argument("--n", type=_positive)
     p.add_argument("--pairs", action="store_true", help="count via permutation-pair reconstruction")
-    p.add_argument("--slow", action="store_true", help="filter the full convex enumeration")
     p.add_argument(
         "--calibrate",
         type=_nonnegative,
@@ -133,7 +132,7 @@ def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
     if args.paths:
         for p, path in eco.iter_with_paths(args.n):
             record = p.to_record()
-            record["path"] = list(path)
+            record["path"] = [str(tag) for tag in path]
             print(json.dumps(record), file=out)
     else:
         for p in eco.iter_permutominoes(args.n):
@@ -182,7 +181,7 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
     if args.pairs:
         print(oracle.count_pair_permutominoes(args.n), file=out)
     else:
-        print(oracle.count_permutominoes(args.n, fast=not args.slow), file=out)
+        print(oracle.count_permutominoes(args.n), file=out)
     return 0
 
 

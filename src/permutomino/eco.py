@@ -21,7 +21,7 @@ the construction a bijection level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .grid import Interval, Permutomino, UNIT, boundary_word, corner_report
 
@@ -154,46 +154,26 @@ def parent(p: Permutomino) -> tuple[Permutomino, OperationTag]:
     raise AssertionError(f"unexpected reentrant kind {kind}")
 
 
-def iter_permutominoes(n: int) -> Iterator[Permutomino]:
+def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, tuple[OperationTag, ...]]]:
     """Depth-first stream of all convex permutominoes of size n, each
-    exactly once, in the deterministic child order.
+    exactly once, in the deterministic child order, together with the
+    operation path from the single cell.
 
     Memory stays bounded by the tree depth times the object size.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
 
-    def walk(p: Permutomino) -> Iterator[Permutomino]:
-        if p.n == n:
-            yield p
-            return
-        for _tag, child in children(p):
-            yield from walk(child)
-
-    return walk(UNIT)
-
-
-def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, tuple[str, ...]]]:
-    """Like :func:`iter_permutominoes` but also yields the operation path
-    from the single cell, as printable tags."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-
-    def walk(p: Permutomino, path: tuple[str, ...]) -> Iterator[tuple[Permutomino, tuple[str, ...]]]:
+    def walk(p: Permutomino, path: tuple[OperationTag, ...]) -> Iterator[tuple[Permutomino, tuple[OperationTag, ...]]]:
         if p.n == n:
             yield p, path
             return
         for tag, child in children(p):
-            yield from walk(child, path + (str(tag),))
+            yield from walk(child, path + (tag,))
 
     return walk(UNIT, ())
 
 
-def generate(n: int, visitor: Callable[[Permutomino], None] | None = None) -> int:
-    """Visit every convex permutomino of size n once; returns the count."""
-    count = 0
-    for p in iter_permutominoes(n):
-        count += 1
-        if visitor is not None:
-            visitor(p)
-    return count
+def iter_permutominoes(n: int) -> Iterator[Permutomino]:
+    """The shapes of :func:`iter_with_paths`, without their paths."""
+    return (p for p, _ in iter_with_paths(n))

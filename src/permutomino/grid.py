@@ -418,10 +418,6 @@ def classify(p: Permutomino) -> Label:
     return Label(p.degree, "G")
 
 
-def degree(p: Permutomino) -> int:
-    return p.degree
-
-
 def _corner_vertices(bw: BoundaryWord) -> list[Point]:
     # all direction changes in walk order; the start vertex comes first
     # because the arriving step (the word's last letter) differs from the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .grid import (
     DisconnectedPair,
@@ -27,170 +27,86 @@ from .grid import (
     is_permutomino,
 )
 
-Visitor = Callable[[tuple[Interval, ...]], None]
-
-
-def enumerate_convex(rows: int, cols: int, visitor: Visitor | None = None) -> int:
-    """Visit every convex polyomino with exactly ``cols`` columns and
-    exactly ``rows`` occupied rows, once each; returns the count.
+def iter_convex(rows: int, cols: int, one_side: bool = False) -> Iterator[tuple[Interval, ...]]:
+    """Every convex polyomino with exactly ``cols`` columns and exactly
+    ``rows`` occupied rows, once each, as column intervals.
 
     The DFS builds column intervals left to right and prunes on the
     structure every convex shape must have: consecutive columns overlap,
     column tops rise then fall, column bottoms fall then rise.  A branch
     whose top profile has started falling short of the highest row (or whose
     bottom has started rising above row 1) can never fill the box and is cut.
+
+    ``one_side`` additionally requires consecutive columns to move exactly
+    one endpoint: a permutomino has exactly one (nonempty) vertical side at
+    every inner abscissa, which forces that step shape.
     """
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be >= 1")
-    count = 0
-    acc: list[Interval] = []
 
     def rec(
-        idx: int,
-        prev_lo: int,
-        prev_hi: int,
-        top_falling: bool,
-        bot_rising: bool,
-        seen_bottom: bool,
-        seen_top: bool,
-    ) -> None:
-        nonlocal count
-        if idx == cols:
-            if seen_bottom and seen_top:
-                count += 1
-                if visitor is not None:
-                    visitor(tuple(acc))
-            return
-        if (bot_rising and not seen_bottom) or (top_falling and not seen_top):
-            return
-        lo_min = prev_lo if bot_rising else 1
-        for lo in range(lo_min, prev_hi + 1):
-            hi_max = prev_hi if top_falling else rows
-            for hi in range(max(lo, prev_lo), hi_max + 1):
-                acc.append((lo, hi))
-                rec(
-                    idx + 1,
-                    lo,
-                    hi,
-                    top_falling or hi < prev_hi,
-                    bot_rising or lo > prev_lo,
-                    seen_bottom or lo == 1,
-                    seen_top or hi == rows,
-                )
-                acc.pop()
-
-    for lo in range(1, rows + 1):
-        for hi in range(lo, rows + 1):
-            acc.append((lo, hi))
-            rec(1, lo, hi, False, False, lo == 1, hi == rows)
-            acc.pop()
-    return count
-
-
-def convex_totals_by_semiperimeter(max_m: int) -> list[int]:
-    """Totals of :func:`enumerate_convex` grouped by semi-perimeter: entry m
-    sums over all boxes with rows + cols = m + 2."""
-    totals = []
-    for m in range(max_m + 1):
-        semi = m + 2
-        totals.append(sum(enumerate_convex(r, semi - r) for r in range(1, semi)))
-    return totals
-
-
-def _iter_permutomino_candidates(n: int) -> Iterator[tuple[Interval, ...]]:
-    # same convex DFS, additionally requiring consecutive columns to move
-    # exactly one endpoint: a permutomino has exactly one (nonempty) vertical
-    # side at every inner abscissa, which forces that step shape.  The final
-    # is_permutomino check on each leaf still decides membership.
-    acc: list[Interval] = []
-
-    def rec(
-        idx: int,
-        prev_lo: int,
-        prev_hi: int,
+        path: tuple[Interval, ...],
         top_falling: bool,
         bot_rising: bool,
         seen_bottom: bool,
         seen_top: bool,
     ) -> Iterator[tuple[Interval, ...]]:
-        if idx == n:
-            if seen_bottom and seen_top and is_permutomino(acc):
-                yield tuple(acc)
+        if len(path) == cols:
+            if seen_bottom and seen_top:
+                yield path
             return
         if (bot_rising and not seen_bottom) or (top_falling and not seen_top):
             return
-        # move the bottom only
+        prev_lo, prev_hi = path[-1]
         lo_min = prev_lo if bot_rising else 1
-        for lo in range(lo_min, prev_hi + 1):
-            if lo == prev_lo:
-                continue
-            acc.append((lo, prev_hi))
+        hi_max = prev_hi if top_falling else rows
+        if one_side:
+            steps = [(lo, prev_hi) for lo in range(lo_min, prev_hi + 1) if lo != prev_lo]
+            steps += [(prev_lo, hi) for hi in range(prev_lo, hi_max + 1) if hi != prev_hi]
+        else:
+            steps = [(lo, hi) for lo in range(lo_min, prev_hi + 1) for hi in range(max(lo, prev_lo), hi_max + 1)]
+        for lo, hi in steps:
             yield from rec(
-                idx + 1,
-                lo,
-                prev_hi,
-                top_falling,
+                path + ((lo, hi),),
+                top_falling or hi < prev_hi,
                 bot_rising or lo > prev_lo,
                 seen_bottom or lo == 1,
-                seen_top,
+                seen_top or hi == rows,
             )
-            acc.pop()
-        # move the top only
-        hi_max = prev_hi if top_falling else n
-        for hi in range(prev_lo, hi_max + 1):
-            if hi == prev_hi:
-                continue
-            acc.append((prev_lo, hi))
-            yield from rec(
-                idx + 1,
-                prev_lo,
-                hi,
-                top_falling or hi < prev_hi,
-                bot_rising,
-                seen_bottom,
-                seen_top or hi == n,
-            )
-            acc.pop()
 
-    if n == 1:
-        yield ((1, 1),)
-        return
-    for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            acc.append((lo, hi))
-            yield from rec(1, lo, hi, False, False, lo == 1, hi == n)
-            acc.pop()
+    return (
+        shape
+        for lo in range(1, rows + 1)
+        for hi in range(lo, rows + 1)
+        for shape in rec(((lo, hi),), False, False, lo == 1, hi == rows)
+    )
 
 
-def iter_permutomino_survivors(n: int, fast: bool = True) -> Iterator[Permutomino]:
+def convex_totals_by_semiperimeter(max_m: int) -> list[int]:
+    """Totals of :func:`iter_convex` grouped by semi-perimeter: entry m
+    sums over all boxes with rows + cols = m + 2."""
+    totals = []
+    for m in range(max_m + 1):
+        semi = m + 2
+        totals.append(sum(1 for r in range(1, semi) for _ in iter_convex(r, semi - r)))
+    return totals
+
+
+def iter_permutomino_survivors(n: int) -> Iterator[Permutomino]:
     """All size-n convex permutominoes found by brute force, as shapes.
 
-    ``fast`` prunes with the one-vertical-side-per-abscissa step rule, which
-    only discards shapes the final :func:`is_permutomino` filter would
-    reject anyway; with ``fast=False`` the full convex enumeration is
-    filtered instead (kept as the reference semantics, and asserted
-    equivalent in the test suite).
+    The one-side step rule only discards shapes the final
+    :func:`is_permutomino` filter would reject anyway; the test suite
+    checks that against filtering the full convex enumeration.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
-    if fast:
-        for cols in _iter_permutomino_candidates(n):
-            yield Permutomino(cols)
-        return
-    survivors: list[tuple[Interval, ...]] = []
-
-    def visit(cols: tuple[Interval, ...]) -> None:
-        if is_permutomino(cols):
-            survivors.append(cols)
-
-    enumerate_convex(n, n, visit)
-    for cols in survivors:
-        yield Permutomino(cols)
+    return (Permutomino(cols) for cols in iter_convex(n, n, one_side=True) if is_permutomino(cols))
 
 
-def count_permutominoes(n: int, fast: bool = True) -> int:
+def count_permutominoes(n: int) -> int:
     """Brute-force count of convex permutominoes of size n."""
-    return sum(1 for _ in iter_permutomino_survivors(n, fast=fast))
+    return sum(1 for _ in iter_permutomino_survivors(n))
 
 
 @dataclass(frozen=True)

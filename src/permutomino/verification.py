@@ -87,11 +87,11 @@ def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) ->
         for p in level:
             label = classify(p)
             kids = eco.children(p)
-            expected_count = {"B": 2 * label.k + 2, "R": 2 * label.k + 1, "G": 2 * label.k}[label.group]
-            if len(kids) != expected_count:
+            expected = production(label.k, label.group)
+            if len(kids) != len(expected):
                 return _fail(name, f"label {label} produced {len(kids)} children", p)
             produced = sorted(classify(c).key() for _, c in kids)
-            if produced != sorted(production(label.k, label.group)):
+            if produced != sorted(expected):
                 return _fail(name, f"children labels of {label} break the succession rule", p)
             for tag, child in kids:
                 if child in seen_children:

@@ -12,7 +12,6 @@ from permutomino.eco import (
     expand_nw,
     expand_se,
     expand_ws,
-    generate,
     iter_permutominoes,
     iter_with_paths,
     parent,
@@ -117,6 +116,13 @@ def test_parent_of_unit_cell_fails():
         parent(UNIT)
 
 
+def test_walkers_reject_bad_size_at_call_time():
+    with pytest.raises(ValueError):
+        iter_permutominoes(0)
+    with pytest.raises(ValueError):
+        iter_with_paths(0)
+
+
 def test_generation_counts_match_census(levels):
     for n in range(1, 7):
         objs = list(iter_permutominoes(n))
@@ -136,25 +142,18 @@ def test_generation_is_deterministic():
     assert first == second
 
 
-def test_generate_visitor():
-    seen = []
-    assert generate(3, seen.append) == 18
-    assert len(seen) == 18
-
-
 def test_paths_replay_to_the_same_object():
     for p, path in iter_with_paths(4):
         q = UNIT
-        for step in path:
-            kind, _, cell = step.partition(":")
-            if kind == "EN":
+        for tag in path:
+            if tag.kind == "EN":
                 q = expand_en(q)
-            elif kind == "NW":
+            elif tag.kind == "NW":
                 q = expand_nw(q)
-            elif kind == "SE":
-                q = expand_se(q, int(cell))
+            elif tag.kind == "SE":
+                q = expand_se(q, tag.cell)
             else:
-                q = expand_ws(q, int(cell))
+                q = expand_ws(q, tag.cell)
         assert q == p
 
 

@@ -22,7 +22,7 @@ from permutomino.grid import (
     render,
     vertex_permutations,
 )
-from permutomino.oracle import enumerate_convex
+from permutomino.oracle import iter_convex
 
 L_SHAPE = Permutomino.from_columns([(1, 2), (1, 1)])
 
@@ -91,9 +91,7 @@ def test_salient_minus_reentrant_is_four_for_any_convex_polyomino():
     # not specific to permutominoes: every lattice boundary closes with
     # exactly four more convex than concave corners
     for rows, cols in [(1, 1), (2, 3), (3, 3), (4, 3), (4, 4)]:
-        shapes = []
-        enumerate_convex(rows, cols, shapes.append)
-        for shape in shapes:
+        for shape in iter_convex(rows, cols):
             report = corner_report(boundary_word(shape))
             assert len(report.salient) - len(report.reentrant) == 4
 
@@ -128,17 +126,14 @@ def test_is_permutomino():
 
 
 def test_size_three_convex_shapes_passing_filter():
-    survivors = []
-    enumerate_convex(3, 3, lambda cols: survivors.append(cols) if is_permutomino(cols) else None)
+    survivors = [cols for cols in iter_convex(3, 3) if is_permutomino(cols)]
     assert len(survivors) == 18
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_permutomino_iff_vertex_sets_are_permutation_matrices(n):
     # the side-census predicate agrees with the boundary-vertex definition
-    shapes = []
-    enumerate_convex(n, n, shapes.append)
-    for cols in shapes:
+    for cols in iter_convex(n, n):
         p = Permutomino(cols)
         try:
             pair = vertex_permutations(p)

@@ -8,7 +8,7 @@ from permutomino.oracle import (
     convex_totals_by_semiperimeter,
     count_pair_permutominoes,
     count_permutominoes,
-    enumerate_convex,
+    iter_convex,
     iter_permutomino_survivors,
 )
 
@@ -26,23 +26,27 @@ PER_BOX = {
 
 def test_enumerate_convex_per_box_fixtures():
     for (rows, cols), expected in PER_BOX.items():
-        assert enumerate_convex(rows, cols) == expected
-        assert enumerate_convex(cols, rows) == expected  # transpose symmetry
+        assert sum(1 for _ in iter_convex(rows, cols)) == expected
+        assert sum(1 for _ in iter_convex(cols, rows)) == expected  # transpose symmetry
 
 
 def test_enumerate_convex_single_row():
     for cols in range(1, 6):
-        assert enumerate_convex(1, cols) == 1
+        assert list(iter_convex(1, cols)) == [((1, 1),) * cols]
 
 
 def test_enumerate_convex_rejects_bad_box():
     with pytest.raises(ValueError):
-        enumerate_convex(0, 3)
+        iter_convex(0, 3)
+
+
+def test_survivors_reject_bad_size_at_call_time():
+    with pytest.raises(ValueError):
+        iter_permutomino_survivors(0)
 
 
 def test_enumerated_shapes_are_convex_and_fill_the_box():
-    shapes = []
-    enumerate_convex(3, 4, shapes.append)
+    shapes = list(iter_convex(3, 4))
     assert len(shapes) == len(set(shapes)) == PER_BOX[(3, 4)]
     for cols in shapes:
         assert is_convex(cols)
@@ -62,9 +66,10 @@ def test_permutomino_counts_match_census():
         assert count_permutominoes(n) == count(n)
 
 
-def test_fast_and_slow_oracles_agree():
+def test_one_side_pruning_matches_filtering_all_convex_shapes():
     for n in range(1, 6):
-        assert count_permutominoes(n, fast=True) == count_permutominoes(n, fast=False)
+        unpruned = {cols for cols in iter_convex(n, n) if is_permutomino(cols)}
+        assert {p.cols for p in iter_permutomino_survivors(n)} == unpruned
 
 
 def test_survivors_match_generator_sets():
