@@ -8,6 +8,7 @@ this granularity because the R production does not depend on it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -73,24 +74,28 @@ class LabelCensus:
 
 _ROOT = LabelCensus(1, {(1, "B"): 1})
 _LEVELS: list[LabelCensus] = [_ROOT]
+# Serializes the check-then-append that extends the shared level cache;
+# levels already cached are read without it, since they never change.
+_LEVELS_LOCK = threading.Lock()
 
 
 def census(n: int) -> LabelCensus:
-    """Census at level n (the root, a single (1, B), is level 1)."""
+    """Census at level n (the root, a single (1, B), is level 1).
+
+    Safe to call from several threads: the cache is extended under a lock.
+    """
     if n < 1:
         raise ValueError("level must be >= 1")
-    while len(_LEVELS) < n:
-        _LEVELS.append(_LEVELS[-1].step())
+    if len(_LEVELS) < n:
+        with _LEVELS_LOCK:
+            while len(_LEVELS) < n:
+                _LEVELS.append(_LEVELS[-1].step())
     return _LEVELS[n - 1]
 
 
 def count(n: int) -> int:
     """Number of convex permutominoes of size n, by the census dynamics."""
     return census(n).total()
-
-
-def census_by_class(n: int) -> tuple[int, int, int]:
-    return census(n).by_class()
 
 
 def closed_count(n: int) -> int:

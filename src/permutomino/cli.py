@@ -167,7 +167,7 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
     b, r, g = series.census_bivariate(args.order)
     chosen = {"Bst": b, "Rst": r, "Nst": g, "Fst": b + r + g}[args.name]
     for n, row in enumerate(chosen.coeffs):
-        print(f"{n}\t{','.join(_format_coeff(c) for c in row) or '0'}", file=out)
+        print(f"{n}\t{','.join(_format_coeff(c) for c in row.coeffs) or '0'}", file=out)
     return 0
 
 

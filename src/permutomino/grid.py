@@ -109,7 +109,14 @@ class Permutomino:
 
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "Permutomino":
-        return cls(tuple((int(lo), int(hi)) for lo, hi in cols))
+        """Shape from ``(lo, hi)`` pairs of plain ints; bools, floats and
+        anything else raise ValueError instead of being converted."""
+        pairs = []
+        for col in cols:
+            if not isinstance(col, (list, tuple)) or len(col) != 2 or any(type(v) is not int for v in col):
+                raise ValueError(f"column {col!r} is not a pair of integers")
+            pairs.append((col[0], col[1]))
+        return cls(tuple(pairs))
 
     @property
     def n(self) -> int:
@@ -151,6 +158,10 @@ class Permutomino:
 
     @classmethod
     def from_record(cls, record: dict) -> "Permutomino":
+        """Shape from a JSONL record; raises ValueError unless the record
+        is an object with a ``cols`` list of integer pairs."""
+        if not isinstance(record, dict) or not isinstance(record.get("cols"), list):
+            raise ValueError("record needs a 'cols' list")
         p = cls.from_columns(record["cols"])
         if "n" in record and record["n"] != p.n:
             raise ValueError("record field 'n' does not match the columns")

@@ -3,9 +3,11 @@
 Everything is carried with arbitrary-precision rational coefficients even
 though the series of interest all have integer coefficients; intermediate
 divisions then stay total and integrality becomes a checkable fact instead
-of an assumption.  Ring operations truncate in t only; the s-degree of the
-bivariate series arising here is bounded by the t-degree, so polynomials in
-s are kept exact.
+of an assumption.  There is one series type, :class:`TruncatedSeries`: a
+univariate series has rational t-coefficients, and a bivariate series is the
+same type whose t-coefficients are exact polynomials in s (:class:`Poly`).
+Ring operations truncate in t only; the s-degree of the bivariate series
+arising here is bounded by the t-degree, so polynomials in s are kept exact.
 """
 
 from __future__ import annotations
@@ -28,14 +30,64 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 @dataclass(frozen=True)
+class Poly:
+    """Exact polynomial in s, constant term first, without trailing zeros,
+    so that the zero polynomial is ``Poly()`` and tests false."""
+
+    coeffs: tuple[Fraction, ...] = ()
+
+    @classmethod
+    def of(cls, values: Iterable[Scalar]) -> "Poly":
+        coeffs = [_as_fraction(v) for v in values]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return cls(tuple(coeffs))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        longer, shorter = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        out = list(longer)
+        for i, c in enumerate(shorter):
+            out[i] += c
+        return Poly.of(out)
+
+    def __neg__(self) -> "Poly":
+        return Poly(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other: "Poly | Scalar") -> "Poly":
+        if not isinstance(other, Poly):
+            f = _as_fraction(other)
+            return Poly.of(c * f for c in self.coeffs)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            for j, d in enumerate(other.coeffs):
+                if d:
+                    out[i + j] += c * d
+        return Poly.of(out)
+
+    __rmul__ = __mul__
+
+
+Coeff = Union[Fraction, Poly]
+
+
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in t truncated at a fixed order (inclusive).
 
-    ``coeffs[k]`` is the coefficient of ``t**k``; binary operations require
+    ``coeffs[k]`` is the coefficient of ``t**k``: an exact rational, or a
+    :class:`Poly` in s for a bivariate series.  Binary operations require
     both operands to share the same order, so no precision is lost silently.
+    Zero tests go by truthiness and the zero coefficient is taken from the
+    series itself, so the ring operations below serve both kinds; ``inverse``,
+    ``sqrt``, division and ``integer_coeffs`` are for rational coefficients.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -54,15 +106,39 @@ class TruncatedSeries:
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
         return cls.from_coeffs([value], order)
 
+    @classmethod
+    def from_terms(cls, terms: dict[tuple[int, int], Scalar], order: int) -> "TruncatedSeries":
+        """Bivariate series from a sparse {(t_power, s_power): value} map."""
+        rows: list[list[Fraction]] = [[] for _ in range(order + 1)]
+        for (tn, sk), value in terms.items():
+            if tn > order:
+                continue
+            row = rows[tn]
+            while len(row) <= sk:
+                row.append(Fraction(0))
+            row[sk] += _as_fraction(value)
+        return cls(tuple(Poly.of(row) for row in rows))
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Coeff:
         return self.coeffs[k]
 
+    def _zero(self) -> Coeff:
+        return self.coeffs[0] * 0
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def at_s1(self) -> "TruncatedSeries":
+        """Set s = 1 in a bivariate series, summing each polynomial row."""
+        return TruncatedSeries(tuple(sum(row.coeffs, Fraction(0)) for row in self.coeffs))
+
+    def constant_in_s(self) -> "TruncatedSeries":
+        """A rational series as a bivariate one whose rows are constant in s."""
+        return TruncatedSeries(tuple(Poly.of([c]) for c in self.coeffs))
 
     def _coerce(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -92,9 +168,9 @@ class TruncatedSeries:
             return TruncatedSeries(tuple(a * f for a in self.coeffs))
         rhs = self._coerce(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
+        out = [self._zero()] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j in range(n + 1 - i):
                 b = rhs.coeffs[j]
@@ -143,13 +219,13 @@ class TruncatedSeries:
         """Multiply by t^k (the top k coefficients fall off the truncation)."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        zeros = (Fraction(0),) * min(k, self.order + 1)
+        zeros = (self._zero(),) * min(k, self.order + 1)
         return TruncatedSeries((zeros + self.coeffs)[: self.order + 1])
 
     def divide_by_t(self, k: int = 1) -> "TruncatedSeries":
         """Divide by t^k; the k lowest coefficients must vanish.  The order
         drops by k."""
-        if any(self.coeffs[i] != 0 for i in range(k)):
+        if any(self.coeffs[:k]):
             raise ValueError("low-order coefficients are not zero")
         return TruncatedSeries(self.coeffs[k:])
 
@@ -228,142 +304,22 @@ def kernel_residual(order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _trim(poly: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    last = 0
-    for i, c in enumerate(poly):
-        if c != 0:
-            last = i + 1
-    return poly[:last] if last else ()
-
-
-def _poly_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(tuple(out))
-
-
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            if d:
-                out[i + j] += c * d
-    return _trim(tuple(out))
-
-
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Series in t truncated at a fixed order whose t^n coefficient is an
-    exact polynomial in s (stored dense, constant term first)."""
-
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_terms(cls, terms: dict[tuple[int, int], Scalar], order: int) -> "BivariateSeries":
-        """Series from a sparse {(t_power, s_power): value} map."""
-        rows: list[list[Fraction]] = [[] for _ in range(order + 1)]
-        for (tn, sk), value in terms.items():
-            if tn > order:
-                continue
-            row = rows[tn]
-            while len(row) <= sk:
-                row.append(Fraction(0))
-            row[sk] += _as_fraction(value)
-        return cls(tuple(_trim(tuple(row)) for row in rows))
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls(((),) * (order + 1))
-
-    @classmethod
-    def from_univariate(cls, series: TruncatedSeries) -> "BivariateSeries":
-        return cls(tuple(() if c == 0 else (c,) for c in series.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def at(self, t_power: int, s_power: int) -> Fraction:
-        row = self.coeffs[t_power]
-        return row[s_power] if s_power < len(row) else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return all(not row for row in self.coeffs)
-
-    def _check(self, other: "BivariateSeries") -> None:
-        if other.order != self.order:
-            raise ValueError("series orders differ")
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._check(other)
-        return BivariateSeries(tuple(_poly_add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries(tuple(tuple(-c for c in row) for row in self.coeffs))
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "BivariateSeries | Scalar") -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            f = _as_fraction(other)
-            return BivariateSeries(tuple(_trim(tuple(c * f for c in row)) for row in self.coeffs))
-        self._check(other)
-        n = self.order
-        out: list[tuple[Fraction, ...]] = [()] * (n + 1)
-        for i, row_a in enumerate(self.coeffs):
-            if not row_a:
-                continue
-            for j in range(n + 1 - i):
-                row_b = other.coeffs[j]
-                if row_b:
-                    out[i + j] = _poly_add(out[i + j], _poly_mul(row_a, row_b))
-        return BivariateSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def shift(self, t_power: int = 0, s_power: int = 0) -> "BivariateSeries":
-        """Multiply by t^a s^b."""
-        rows = [((Fraction(0),) * s_power + row if row else ()) for row in self.coeffs]
-        pad: list[tuple[Fraction, ...]] = [()] * min(t_power, self.order + 1)
-        return BivariateSeries(tuple((pad + rows)[: self.order + 1]))
-
-    def specialize_s1(self) -> TruncatedSeries:
-        """Set s = 1, collapsing each polynomial row to its coefficient sum."""
-        return TruncatedSeries(tuple(sum(row, Fraction(0)) for row in self.coeffs))
-
-    def max_abs_coeff(self) -> Fraction:
-        worst = Fraction(0)
-        for row in self.coeffs:
-            for c in row:
-                if abs(c) > worst:
-                    worst = abs(c)
-        return worst
-
-
-def census_bivariate(order: int) -> tuple[BivariateSeries, BivariateSeries, BivariateSeries]:
+def census_bivariate(order: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """Census-derived truncations of the class series B(s,t), R(s,t), G(s,t):
     the coefficient of s^k t^n is the level-n multiplicity of label (k, class)."""
     terms: dict[str, dict[tuple[int, int], Scalar]] = {"B": {}, "R": {}, "G": {}}
     for n in range(1, order + 1):
         for (k, group), c in _level_census(n).counts.items():
             terms[group][(n, k)] = c
-    return tuple(BivariateSeries.from_terms(terms[g], order) for g in ("B", "R", "G"))  # type: ignore[return-value]
+    return tuple(TruncatedSeries.from_terms(terms[g], order) for g in ("B", "R", "G"))  # type: ignore[return-value]
 
 
-def census_full_bivariate(order: int) -> BivariateSeries:
+def census_full_bivariate(order: int) -> TruncatedSeries:
     b, r, g = census_bivariate(order)
     return b + r + g
 
 
-def functional_equation_residuals(order: int) -> dict[str, BivariateSeries]:
+def functional_equation_residuals(order: int) -> dict[str, TruncatedSeries]:
     """Residuals of the two class functional equations, denominators cleared
     by (1 - s), evaluated on the census truncations:
 
@@ -373,14 +329,15 @@ def functional_equation_residuals(order: int) -> dict[str, BivariateSeries]:
     Both must vanish identically through the truncation order.
     """
     b, r, g = census_bivariate(order)
-    b1 = BivariateSeries.from_univariate(b.specialize_s1())
-    r1 = BivariateSeries.from_univariate(r.specialize_s1())
-    g1 = BivariateSeries.from_univariate(g.specialize_s1())
+    b1 = b.at_s1().constant_in_s()
+    r1 = r.at_s1().constant_in_s()
+    g1 = g.at_s1().constant_in_s()
+    st = TruncatedSeries.from_terms({(1, 1): 1}, order)
 
-    kernel_r = BivariateSeries.from_terms({(0, 0): 1, (0, 1): -1, (1, 2): 1}, order)
-    residual_r = r * kernel_r - 2 * (b1 - b).shift(1, 1) - r1.shift(1, 1)
+    kernel_r = TruncatedSeries.from_terms({(0, 0): 1, (0, 1): -1, (1, 2): 1}, order)
+    residual_r = r * kernel_r - 2 * (b1 - b) * st - r1 * st
 
-    kernel_g = BivariateSeries.from_terms({(0, 0): 1, (0, 1): -1, (1, 1): 2}, order)
-    residual_g = g * kernel_g - (r1 - r).shift(1, 1) - 2 * g1.shift(1, 1)
+    kernel_g = TruncatedSeries.from_terms({(0, 0): 1, (0, 1): -1, (1, 1): 2}, order)
+    residual_g = g * kernel_g - (r1 - r) * st - 2 * g1 * st
 
     return {"R": residual_r, "G": residual_g}

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import pytest
 
+import permutomino.census as census_module
 from permutomino.census import (
     LabelCensus,
     catalan,
     census,
-    census_by_class,
     closed_convex_polyominoes,
     closed_count,
     closed_directed,
@@ -35,8 +38,8 @@ def test_counts_match_sequence():
 
 
 def test_class_split():
-    assert census_by_class(2) == (2, 2, 0)
-    assert census_by_class(3) == (4, 12, 2)
+    assert census(2).by_class() == (2, 2, 0)
+    assert census(3).by_class() == (4, 12, 2)
 
 
 def test_class_b_mass_lives_at_full_degree():
@@ -78,13 +81,13 @@ def test_convex_polyomino_sequence():
 def test_stack_counts():
     assert [closed_stack(n) for n in range(1, 5)] == [1, 2, 4, 8]
     for n in range(1, 21):
-        assert closed_stack(n) == census_by_class(n)[0]
+        assert closed_stack(n) == census(n).by_class()[0]
 
 
 def test_directed_counts():
     assert [closed_directed(n) for n in range(1, 5)] == [1, 3, 10, 35]
     for n in range(1, 41):
-        b, r, _ = census_by_class(n)
+        b, r, _ = census(n).by_class()
         assert r % 2 == 0
         assert b + r // 2 == closed_directed(n)
 
@@ -113,3 +116,30 @@ def test_census_totals_are_reproducible():
     for n in range(2, 41):
         fresh = fresh.step()
         assert fresh.total() == count(n)
+
+
+def test_concurrent_cold_census_fills_the_cache_once(monkeypatch):
+    monkeypatch.setattr(census_module, "_LEVELS", [census_module._ROOT])
+    errors = []
+
+    def fill():
+        try:
+            census(60)
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(census_module._LEVELS) == 60
+    for n in range(1, 61):
+        assert count(n) == closed_count(n)

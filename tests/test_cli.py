@@ -98,6 +98,29 @@ def test_render_bad_record_is_an_error(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"n": 1}',
+        '{"cols": 5}',
+        '[[1, 1]]',
+        '{"cols": [[1.9, 1.2]]}',
+        '{"cols": [[true, true]]}',
+        '{"cols": [[1]]}',
+        '{"cols": [1]}',
+    ],
+)
+def test_render_malformed_record_is_a_one_line_error(capsys, monkeypatch, record):
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(record + "\n"))
+    code = main(["render"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_series_univariate(capsys):
     code, out = run(capsys, "series", "F1", "--order", "7")
     assert code == 0

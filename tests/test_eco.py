@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutomino.census import census_by_class, count, production
+from permutomino.census import census, count, production
 from permutomino.eco import (
     OperationTag,
     children,
@@ -133,7 +133,7 @@ def test_generation_counts_match_census(levels):
 def test_materialized_class_split_matches_census(levels):
     for n in range(1, 7):
         split = Counter(classify(p).group for p in levels[n])
-        assert (split["B"], split["R"], split["G"]) == census_by_class(n)
+        assert (split["B"], split["R"], split["G"]) == census(n).by_class()
 
 
 def test_generation_is_deterministic():

@@ -1,6 +1,6 @@
 import pytest
 
-from permutomino.census import census_by_class, closed_convex_polyominoes, closed_stack, count
+from permutomino.census import census, closed_convex_polyominoes, closed_stack, count
 from permutomino.eco import iter_permutominoes
 from permutomino.grid import classify, is_convex, is_permutomino
 from permutomino.oracle import (
@@ -83,7 +83,7 @@ def test_survivor_class_split_at_three():
     split = {"B": 0, "R": 0, "G": 0}
     for p in iter_permutomino_survivors(3):
         split[classify(p).group] += 1
-    assert (split["B"], split["R"], split["G"]) == (4, 12, 2) == census_by_class(3)
+    assert (split["B"], split["R"], split["G"]) == (4, 12, 2) == census(3).by_class()
 
 
 def test_stack_shaped_survivors():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutomino.census import census_by_class, count
+from permutomino import series, verification
+from permutomino.census import LabelCensus, census, count
 from permutomino.series import (
-    BivariateSeries,
+    Poly,
     TruncatedSeries,
     census_bivariate,
     census_full_bivariate,
@@ -52,7 +53,7 @@ def test_all_series_match_census_to_25():
     order = 25
     f1, b1, r1, n1 = series_f1(order), series_b1(order), series_r1(order), series_n1(order)
     for n in range(1, order + 1):
-        b, r, g = census_by_class(n)
+        b, r, g = census(n).by_class()
         assert (b1[n], r1[n], n1[n], f1[n]) == (b, r, g, count(n))
 
 
@@ -128,19 +129,18 @@ def test_sqrt_round_trip(tail):
 
 def test_bivariate_full_series_first_levels():
     f = census_full_bivariate(3)
-    assert [list(map(int, row)) for row in f.coeffs] == [[], [0, 1], [0, 2, 2], [0, 8, 6, 4]]
+    assert [list(map(int, row.coeffs)) for row in f.coeffs] == [[], [0, 1], [0, 2, 2], [0, 8, 6, 4]]
 
 
 def test_bivariate_class_b_matches_rational_form():
     b, _, _ = census_bivariate(10)
     for n in range(1, 11):
-        for k in range(11):
-            expected = 2 ** (n - 1) if k == n else 0
-            assert b.at(n, k) == expected
+        # the t^n row is 2^(n-1) s^n: every other s-coefficient is zero
+        assert b[n] == Poly.of([0] * n + [2 ** (n - 1)])
 
 
 def test_bivariate_specialization_matches_univariate():
-    assert census_full_bivariate(12).specialize_s1() == series_f1(12)
+    assert census_full_bivariate(12).at_s1() == series_f1(12)
 
 
 def test_functional_equation_residuals_vanish():
@@ -148,20 +148,58 @@ def test_functional_equation_residuals_vanish():
     assert residuals["R"].is_zero()
     assert residuals["G"].is_zero()
     # with s = 1 the cleared equations collapse to 0 = 0
-    assert residuals["R"].specialize_s1().is_zero()
+    assert residuals["R"].at_s1().is_zero()
+
+
+def test_one_wrong_multiplicity_breaks_both_equations(monkeypatch):
+    real = series._level_census
+
+    def tampered(n):
+        level = real(n)
+        if n != 3:
+            return level
+        counts = dict(level.counts)
+        counts[(1, "R")] += 1
+        return LabelCensus(n, counts)
+
+    monkeypatch.setattr(series, "_level_census", tampered)
+    residuals = functional_equation_residuals(8)
+    assert not residuals["R"].is_zero()
+    assert not residuals["G"].is_zero()
+    result = verification.check_functional_equations(8)
+    assert not result.ok
+    assert "max |coeff| " in result.detail
 
 
 def test_bivariate_arithmetic():
-    x = BivariateSeries.from_terms({(1, 1): 1}, 4)   # s t
-    y = BivariateSeries.from_terms({(0, 0): 1}, 4)   # 1
+    x = TruncatedSeries.from_terms({(1, 1): 1}, 4)   # s t
+    y = TruncatedSeries.from_terms({(0, 0): 1}, 4)   # 1
     z = (x + y) * (x + y)
-    assert z.at(0, 0) == 1
-    assert z.at(1, 1) == 2
-    assert z.at(2, 2) == 1
-    assert z.shift(1, 0).at(3, 2) == 1
+    assert z[0] == Poly.of([1])
+    assert z[1] == Poly.of([0, 2])
+    assert z[2] == Poly.of([0, 0, 1])
+    assert z.shift(1)[3] == Poly.of([0, 0, 1])
+    assert z.shift(2).divide_by_t(2).coeffs == z.coeffs[:3]
     assert not z.is_zero()
     assert (z - z).is_zero()
-    assert z.max_abs_coeff() == 2
+    assert (2 * z)[1] == Poly.of([0, 4])
+
+
+sparse_terms = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 3)), st.integers(-5, 5), max_size=8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_terms, sparse_terms)
+def test_setting_s_to_one_is_a_ring_homomorphism(x_terms, y_terms):
+    order = 4  # terms past the order are dropped by from_terms
+    x = TruncatedSeries.from_terms(x_terms, order)
+    y = TruncatedSeries.from_terms(y_terms, order)
+    assert (x * y).at_s1() == x.at_s1() * y.at_s1()
+    assert (x + y).at_s1() == x.at_s1() + y.at_s1()
+    assert (x - y).at_s1() == x.at_s1() - y.at_s1()
+    assert x.at_s1().constant_in_s().at_s1() == x.at_s1()
 
 
 def test_truncated_series_shift():
