@@ -4,6 +4,11 @@ The tree is tracked as an exact multiplicity map from labels ``(k, class)``
 to arbitrary-precision integers, one census per level; all closed-form
 counts live here too.  The U1/U2 side of class-R labels is irrelevant at
 this granularity because the R production does not depend on it.
+
+:func:`production` states the succession rule label by label and is the
+reference; :meth:`LabelCensus.step` applies the same rule in aggregate,
+through suffix sums over the degree, so a level costs O(n) big-integer
+additions rather than O(n²).
 """
 
 from __future__ import annotations
@@ -58,11 +63,34 @@ class LabelCensus:
         return (sums["B"], sums["R"], sums["G"])
 
     def step(self) -> "LabelCensus":
-        """Census of the next level, by applying every production."""
-        nxt: dict[Key, int] = {}
+        """Census of the next level, from suffix sums of this one.
+
+        Every production in :func:`production` (the reference statement of
+        the rule) is a run of labels ``(i, ·)`` for ``i = 1..k`` plus at most
+        one label at ``k + 1``, so label ``i`` of the next level collects the
+        mass of every label with degree at least ``i``:
+
+        * R'(i) = 2·ΣB(≥i) + ΣR(≥i) + R(i−1)
+        * G'(i) = ΣR(≥i) + 2·ΣG(≥i)
+        * B'(k+1) = 2·B(k)
+
+        That is O(k) big-integer additions per level instead of O(k²).
+        """
+        top = max((k for k, _ in self.counts), default=0)
+        dense = {group: [0] * (top + 2) for group in _GROUPS}
         for (k, group), mass in self.counts.items():
-            for key in production(k, group):
-                nxt[key] = nxt.get(key, 0) + mass
+            dense[group][k] = mass
+        b, r, g = (dense[group] for group in _GROUPS)
+        nb, nr, ng = ([0] * (top + 2) for _ in _GROUPS)
+        sum_b = sum_r = sum_g = 0
+        for i in range(top + 1, 0, -1):
+            sum_b += b[i]
+            sum_r += r[i]
+            sum_g += g[i]
+            nb[i] = 2 * b[i - 1]
+            nr[i] = 2 * sum_b + sum_r + r[i - 1]
+            ng[i] = sum_r + 2 * sum_g
+        nxt = {(k, group): c for group, row in zip(_GROUPS, (nb, nr, ng)) for k, c in enumerate(row) if c}
         return LabelCensus(self.level + 1, nxt)
 
     def rows(self) -> list[tuple[int, int, str, int]]:

@@ -8,6 +8,7 @@ success, 1 a verification failure, 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import IO, Callable
@@ -99,11 +100,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(args: argparse.Namespace) -> IO[str]:
+class _OutFile:
+    """The ``--out`` file, opened (and so truncated) at the first write: a
+    command that fails before it has output, such as ``render`` on a bad
+    record, leaves an existing file as it was."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.handle: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self.handle is None:
+            self.handle = open(self.path, "w", encoding="utf-8")
+        return self.handle.write(text)
+
+    def __enter__(self) -> "_OutFile":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.handle is not None:
+            self.handle.close()
+
+
+def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
     path = getattr(args, "out", None)
     if path:
-        return open(path, "w", encoding="utf-8")
-    return sys.stdout
+        return _OutFile(path)
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
@@ -218,17 +241,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out = _open_out(args)
     try:
-        return _COMMANDS[args.command](args, out)
+        with _open_out(args) as out:
+            return _COMMANDS[args.command](args, out)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 if __name__ == "__main__":

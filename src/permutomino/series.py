@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .census import census as _level_census
@@ -181,17 +182,22 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        The recurrence runs on integers: with ``self = P/d`` (``P`` integer
+        numerators over the common denominator ``d``) and ``p = P[0]``, the
+        coefficient of t^k is ``d·u_k / p^(k+1)``, where ``u_0 = 1`` and
+        ``u_k = −Σ_{i≥1} P_i·p^(i−1)·u_(k−i)`` over the nonzero ``P_i``.
+        """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("series has no inverse: zero constant term")
-        n = self.order
-        inv = [Fraction(1) / self.coeffs[0]] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -acc / self.coeffs[0]
-        return TruncatedSeries(tuple(inv))
+        d, nums = self._integer_numerators()
+        p = nums[0]
+        terms = [(i, c * p ** (i - 1)) for i, c in enumerate(nums) if i and c]
+        u = [1]
+        for k in range(1, self.order + 1):
+            u.append(-sum(c * u[k - i] for i, c in terms if i <= k))
+        return TruncatedSeries(tuple(Fraction(d * u_k, p ** (k + 1)) for k, u_k in enumerate(u)))
 
     def __truediv__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -203,17 +209,28 @@ class TruncatedSeries:
         return self._coerce(other) * self.inverse()
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root of a series with constant term 1."""
+        """Square root of a series with constant term 1.
+
+        The recurrence runs on integers: with ``self = C/d`` (``C`` integer
+        numerators over the common denominator ``d``), the coefficient of t^k
+        for k ≥ 1 is ``v_k / (2^(2k−1)·d^k)``, where
+        ``v_k = 4^(k−1)·d^(k−1)·C_k − Σ_{0<i<k} v_i·v_(k−i)``.
+        """
         if self.coeffs[0] != 1:
             raise ValueError("square root needs constant term 1")
-        n = self.order
-        root = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= root[i] * root[k - i]
-            root[k] = acc / 2
+        d, nums = self._integer_numerators()
+        v = [1]
+        root = [Fraction(1)]
+        for k in range(1, self.order + 1):
+            v.append(4 ** (k - 1) * d ** (k - 1) * nums[k] - sum(v[i] * v[k - i] for i in range(1, k)))
+            root.append(Fraction(v[k], 2 ** (2 * k - 1) * d**k))
         return TruncatedSeries(tuple(root))
+
+    def _integer_numerators(self) -> tuple[int, list[int]]:
+        """The common denominator d of the rational coefficients and the
+        integer numerators P with ``self = P/d``."""
+        d = lcm(*(c.denominator for c in self.coeffs))
+        return d, [c.numerator * (d // c.denominator) for c in self.coeffs]
 
     def shift(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by t^k (the top k coefficients fall off the truncation)."""

@@ -143,3 +143,37 @@ def test_concurrent_cold_census_fills_the_cache_once(monkeypatch):
     assert len(census_module._LEVELS) == 60
     for n in range(1, 61):
         assert count(n) == closed_count(n)
+
+
+def naive_step(level: LabelCensus) -> LabelCensus:
+    """The next level by expanding every label into its production."""
+    nxt = {}
+    for (k, group), mass in level.counts.items():
+        for key in production(k, group):
+            nxt[key] = nxt.get(key, 0) + mass
+    return LabelCensus(level.level + 1, nxt)
+
+
+def test_step_matches_the_expanded_productions():
+    expected = census(1)
+    for n in range(2, 31):
+        expected = naive_step(expected)
+        assert census(n).counts == expected.counts
+        assert census(n).rows() == expected.rows()
+
+
+def test_step_does_not_expand_productions(monkeypatch):
+    def expanded(k, group):
+        raise AssertionError("LabelCensus.step expanded a production")
+
+    monkeypatch.setattr(census_module, "production", expanded)
+    monkeypatch.setattr(census_module, "_LEVELS", [census_module._ROOT])
+    assert census(40).total() == closed_count(40)
+
+
+def test_census_matches_closed_form_to_1000():
+    # a fresh chain rather than count(n): caching 1000 levels holds ~300 MiB
+    level = census(1)
+    for n in range(2, 1001):
+        level = level.step()
+        assert level.total() == closed_count(n)

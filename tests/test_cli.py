@@ -188,3 +188,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "1836\n"
+
+
+def test_rejected_render_keeps_the_out_file(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "existing.txt"
+    target.write_text("keep me\n")
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO('{"n": 1}\n'))
+    code = main(["render", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert target.read_text() == "keep me\n"
+
+
+def test_unopenable_out_file_is_a_one_line_error(capsys, tmp_path):
+    code = main(["count", "--n", "3", "--out", str(tmp_path / "missing" / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -37,3 +37,12 @@ def test_benchmark_spans_resolve():
     for module, attr, span in child.FUNCTION_SPANS:
         target = importlib.import_module(f"permutomino.{module}")
         assert callable(getattr(target, attr, None)), f"{span}: permutomino.{module}.{attr}"
+
+
+def test_benchmark_census_counters_read_the_level_cache(monkeypatch):
+    # perfbench/child.py reports census.levels and census.labels_top from these
+    census_module = importlib.import_module("permutomino.census")
+    monkeypatch.setattr(census_module, "_LEVELS", [census_module._ROOT])
+    census_module.census(300)
+    assert len(census_module._LEVELS) == 300
+    assert len(census_module.census(300).rows()) == 598

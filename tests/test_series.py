@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutomino import series, verification
-from permutomino.census import LabelCensus, census, count
+from permutomino.census import LabelCensus, census, closed_count, count
 from permutomino.series import (
     Poly,
     TruncatedSeries,
@@ -125,6 +125,44 @@ def test_sqrt_round_trip(tail):
     f = polynomial([1] + tail, order)
     root = f.sqrt()
     assert root * root == f
+
+
+rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
+
+
+@st.composite
+def rational_series(draw, constant):
+    """Orders 0..15, rational coefficients with denominators up to 8."""
+    order = draw(st.integers(0, 15))
+    tail = draw(st.lists(rational, min_size=order, max_size=order))
+    return TruncatedSeries((draw(constant),) + tuple(tail))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_series(rational.filter(bool)))
+def test_inverse_is_exact_over_the_rationals(a):
+    assert a * a.inverse() == TruncatedSeries.constant(1, a.order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_series(st.just(Fraction(1))))
+def test_sqrt_is_exact_over_the_rationals(a):
+    root = a.sqrt()
+    assert root * root == a
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_series(st.just(Fraction(0))), rational_series(rational.filter(lambda c: c != 1)))
+def test_inverse_and_sqrt_reject_their_bad_constant_terms(zero_constant, other_constant):
+    with pytest.raises(ZeroDivisionError):
+        zero_constant.inverse()
+    with pytest.raises(ValueError):
+        other_constant.sqrt()
+
+
+def test_series_f1_matches_closed_form_to_600():
+    coeffs = series_f1(600).integer_coeffs()
+    assert all(coeffs[n] == closed_count(n) for n in range(1, 601))
 
 
 def test_bivariate_full_series_first_levels():
