@@ -2,7 +2,8 @@
 
 Subcommands: count, census, generate, render, series, oracle, verify.
 Every subcommand is deterministic given its flags; exit code 0 means
-success, 1 a verification failure, 2 a usage error.
+success (a reader that closes the output pipe early included), 1 a
+verification failure, 2 a usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import IO, Callable
 
@@ -19,21 +21,21 @@ from .census import count as census_count
 from .grid import Permutomino, render
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"value must be >= {minimum}")
+        return value
+
+    return parse
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return value
+_positive = _at_least(1)
+_nonnegative = _at_least(0)
 
 
 _UNIVARIATE: dict[str, Callable[[int], series.TruncatedSeries]] = {
@@ -246,6 +248,14 @@ def main(argv: list[str] | None = None) -> int:
             return _COMMANDS[args.command](args, out)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout (``generate | head``): stop quietly, and
+        # point fd 1 at devnull so the interpreter's final flush of the
+        # closed pipe reports nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

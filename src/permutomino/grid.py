@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * A shape is stored as one closed interval of rows per column.  That carries
   every column-convex polyomino; row-convexity and the permutomino property
   are separate predicates so that general shapes can flow through the same
-  boundary machinery (the brute-force oracle relies on this).
+  boundary machinery (the brute-force oracle relies on this).  That
+  machinery reads the boundary off the ``lo``/``hi`` column profiles: one
+  scan gives the vertical sides at every abscissa.
 * Boundary words are read clockwise from the leftmost boundary point of
   minimal ordinate, over the alphabet ``N E S W``.  Note that some of the
   literature writes west as ``O`` (ovest); here it is always ``W``.
@@ -22,7 +24,6 @@ exactly that kind.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -201,11 +202,6 @@ class CornerReport:
     salient: tuple[tuple[Point, str], ...]
     reentrant: tuple[tuple[Point, str], ...]
 
-    def rightmost_reentrant(self) -> tuple[Point, str]:
-        if not self.reentrant:
-            raise ValueError("no reentrant corners")
-        return max(self.reentrant, key=lambda item: item[0][0])
-
 
 @dataclass(frozen=True)
 class PermPair:
@@ -257,11 +253,25 @@ def _cols_of(shape: "Permutomino | Sequence[Interval]") -> tuple[Interval, ...]:
     return tuple((lo, hi) for lo, hi in shape)
 
 
-def _occupied(cols: tuple[Interval, ...], x: int, y: int) -> bool:
-    if not 1 <= x <= len(cols):
-        return False
-    lo, hi = cols[x - 1]
-    return lo <= y <= hi
+def _sides(cols: tuple[Interval, ...]) -> list[tuple[Interval | None, Interval | None]]:
+    # clockwise vertical sides (y_from, y_to) at abscissas 1..n+1, as the
+    # pair (side on the top path, side on the bottom path).  The top path
+    # runs left to right from (1, lo_1) and opens with the left side; the
+    # bottom path runs right to left and opens with the right side.
+    sides: list[tuple[Interval | None, Interval | None]] = [((cols[0][0], cols[0][1] + 1), None)]
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(cols, cols[1:]):
+        if lo_b > hi_a or hi_b < lo_a:
+            raise BoundaryError("consecutive columns do not overlap")
+        sides.append(((hi_a + 1, hi_b + 1) if hi_a != hi_b else None, (lo_b, lo_a) if lo_a != lo_b else None))
+    sides.append((None, (cols[-1][1] + 1, cols[-1][0])))
+    return sides
+
+
+def _run(side: Interval | None) -> str:
+    if side is None:
+        return ""
+    y_from, y_to = side
+    return "N" * (y_to - y_from) if y_to > y_from else "S" * (y_from - y_to)
 
 
 def boundary_word(shape: "Permutomino | Sequence[Interval]") -> BoundaryWord:
@@ -269,40 +279,20 @@ def boundary_word(shape: "Permutomino | Sequence[Interval]") -> BoundaryWord:
 
     The walk starts at the leftmost boundary point of minimal ordinate and
     keeps the interior on its right, so a single cell reads ``NESW``.  For a
-    convex permutomino of size n the word has length 4n.
+    convex permutomino of size n the word has length 4n.  It is the top
+    path followed by the bottom path, both read off the column profiles;
+    columns that do not overlap raise :class:`BoundaryError`.
     """
     cols = _cols_of(shape)
-    edges: dict[Point, tuple[str, Point]] = {}
-
-    def add(src: Point, letter: str, dst: Point) -> None:
-        if src in edges:
-            raise BoundaryError(f"boundary touches itself at {src}")
-        edges[src] = (letter, dst)
-
-    for x, (lo, hi) in enumerate(cols, start=1):
-        for y in range(lo, hi + 1):
-            if not _occupied(cols, x - 1, y):
-                add((x, y), "N", (x, y + 1))
-            if not _occupied(cols, x + 1, y):
-                add((x + 1, y + 1), "S", (x + 1, y))
-            if not _occupied(cols, x, y + 1):
-                add((x, y + 1), "E", (x + 1, y + 1))
-            if not _occupied(cols, x, y - 1):
-                add((x + 1, y), "W", (x, y))
-
-    bottom = min(lo for lo, _ in cols)
-    start = (min(x for x, (lo, _) in enumerate(cols, start=1) if lo == bottom), bottom)
-    letters = []
-    vertex = start
-    for _ in range(len(edges)):
-        letter, vertex_next = edges[vertex]
-        letters.append(letter)
-        vertex = vertex_next
-        if vertex == start:
-            break
-    if vertex != start or len(letters) < len(edges):
-        raise BoundaryError("boundary is not a single closed curve")
-    return BoundaryWord("".join(letters), start)
+    sides = _sides(cols)
+    top = "".join(_run(t) + "E" for t, _ in sides[:-1])
+    bottom = [_run(b) + "W" for _, b in reversed(sides[1:])]
+    # start at the left end of the bottom edge of the first lowest column
+    # x0, which the bottom path reaches after abscissas n+1 .. x0+1
+    lo_min = min(lo for lo, _ in cols)
+    x0 = next(x for x, (lo, _) in enumerate(cols, start=1) if lo == lo_min)
+    cut = len(cols) + 1 - x0
+    return BoundaryWord("".join(bottom[cut:]) + top + "".join(bottom[:cut]), (x0, lo_min))
 
 
 def corner_report(w: "BoundaryWord | str") -> CornerReport:
@@ -339,76 +329,48 @@ def corner_report(w: "BoundaryWord | str") -> CornerReport:
     return CornerReport(tuple(salient), tuple(reentrant))
 
 
-def _sdiff_runs(a: Interval | None, b: Interval | None) -> int:
-    # number of maximal runs in the symmetric difference of two row
-    # intervals; assumes they overlap when both are present (connectedness).
-    if a is None and b is None:
-        return 0
-    if a is None or b is None:
-        return 1
-    if a == b:
-        return 0
-    if a[0] == b[0] or a[1] == b[1]:
-        return 1
-    return 2
-
-
-def _run_count(indices: Sequence[int]) -> int:
-    runs = 0
-    prev = None
-    for i in indices:
-        if prev is None or i != prev + 1:
-            runs += 1
-        prev = i
-    return runs
+def _rises_then_falls(values: Sequence[int]) -> bool:
+    falling = False
+    for a, b in zip(values, values[1:]):
+        if b > a and falling:
+            return False
+        falling = falling or b < a
+    return True
 
 
 def is_convex(shape: "Permutomino | Sequence[Interval]") -> bool:
     """True iff every row of the (connected) shape is one contiguous run.
 
     Column-convexity is structural in the representation, so this decides
-    full convexity.
+    full convexity.  For connected columns a row breaks exactly where the
+    profiles dip: the tops must weakly rise then fall, and the bottoms
+    weakly fall then rise.
     """
     cols = _cols_of(shape)
-    rows: dict[int, list[int]] = {}
-    for i, (lo, hi) in enumerate(cols, start=1):
-        for y in range(lo, hi + 1):
-            stat = rows.get(y)
-            if stat is None:
-                rows[y] = [i, i, 1]
-            else:
-                stat[0] = min(stat[0], i)
-                stat[1] = max(stat[1], i)
-                stat[2] += 1
-    return all(last - first + 1 == count for first, last, count in rows.values())
+    return _rises_then_falls([hi for _, hi in cols]) and _rises_then_falls([-lo for lo, _ in cols])
+
+
+def _single_sides(cols: tuple[Interval, ...]) -> list[Interval] | None:
+    # the one vertical side at each abscissa, or None unless each grid line
+    # carries exactly one side.  Horizontal sides sit at the start ordinates
+    # of the vertical sides that follow them, so one side per horizontal
+    # line means the starts are each ordinate of the box exactly once.
+    single = [top or bottom for top, bottom in _sides(cols) if (top is None) != (bottom is None)]
+    lo_min = min(lo for lo, _ in cols)
+    hi_max = max(hi for _, hi in cols)
+    if len(single) != len(cols) + 1 or sorted(y for y, _ in single) != list(range(lo_min, hi_max + 2)):
+        return None
+    return single
 
 
 def is_permutomino(shape: "Permutomino | Sequence[Interval]") -> bool:
     """True iff each grid line carries exactly one boundary side.
 
-    Vertical sides at abscissa x are the maximal runs in the symmetric
-    difference of columns x-1 and x; horizontal sides at ordinate y are the
-    maximal runs of column bottoms at y and column tops at y-1 (under the
-    connectedness precondition the two families can never merge).
+    Read off the column profiles: exactly one vertical side per abscissa,
+    and the start ordinates of those sides are exactly ``lo_min ..
+    hi_max + 1``.  Columns that do not overlap raise :class:`BoundaryError`.
     """
-    cols = _cols_of(shape)
-    n = len(cols)
-    for x in range(1, n + 2):
-        a = cols[x - 2] if x >= 2 else None
-        b = cols[x - 1] if x <= n else None
-        if _sdiff_runs(a, b) != 1:
-            return False
-    bottoms: dict[int, list[int]] = defaultdict(list)
-    tops: dict[int, list[int]] = defaultdict(list)
-    for i, (lo, hi) in enumerate(cols):
-        bottoms[lo].append(i)
-        tops[hi + 1].append(i)
-    lo_min = min(lo for lo, _ in cols)
-    hi_max = max(hi for _, hi in cols)
-    for y in range(lo_min, hi_max + 2):
-        if _run_count(bottoms.get(y, ())) + _run_count(tops.get(y, ())) != 1:
-            return False
-    return True
+    return _single_sides(_cols_of(shape)) is not None
 
 
 def is_valid(p: Permutomino) -> bool:
@@ -429,47 +391,20 @@ def classify(p: Permutomino) -> Label:
     return Label(p.degree, "G")
 
 
-def _corner_vertices(bw: BoundaryWord) -> list[Point]:
-    # all direction changes in walk order; the start vertex comes first
-    # because the arriving step (the word's last letter) differs from the
-    # leaving one on any simple boundary.
-    word = bw.word
-    out: list[Point] = []
-    x, y = bw.start
-    for idx in range(len(word)):
-        if word[idx - 1] != word[idx]:
-            out.append((x, y))
-        dx, dy = _STEP[word[idx]]
-        x, y = x + dx, y + dy
-    return out
-
-
 def vertex_permutations(p: Permutomino) -> PermPair:
     """Split the boundary vertices of a valid convex permutomino into the
     odd- and even-indexed subsequences and return both as permutations.
 
-    The walk starts at the leftmost bottom vertex, so that vertex belongs to
-    the first permutation.  Raises ``ValueError`` when the vertex sets are
-    not permutation matrices of ``[n+1]`` (i.e. the shape is not a
+    The walk starts at the leftmost bottom vertex, which opens a vertical
+    side, so ``pi1(x)`` and ``pi2(x)`` are the start and end ordinates of the
+    one vertical side at abscissa x.  Raises ``ValueError`` when the vertex
+    sets are not permutation matrices of ``[n+1]`` (i.e. the shape is not a
     permutomino).
     """
-    corners = _corner_vertices(boundary_word(p))
-    m = p.n + 1
-    if len(corners) != 2 * m:
-        raise ValueError("boundary does not have 2(n+1) vertices")
-    maps: list[dict[int, int]] = [{}, {}]
-    for pos, (x, y) in enumerate(corners):
-        side = maps[pos % 2]
-        if x in side:
-            raise ValueError("vertex set is not a permutation matrix")
-        side[x] = y
-    for side in maps:
-        if set(side) != set(range(1, m + 1)) or set(side.values()) != set(range(1, m + 1)):
-            raise ValueError("vertex set is not a permutation matrix")
-    return PermPair(
-        tuple(maps[0][x] for x in range(1, m + 1)),
-        tuple(maps[1][x] for x in range(1, m + 1)),
-    )
+    single = _single_sides(p.cols)
+    if single is None:
+        raise ValueError("vertex set is not a permutation matrix")
+    return PermPair(tuple(y for y, _ in single), tuple(y for _, y in single))
 
 
 def from_permutations(pair: PermPair) -> Permutomino:

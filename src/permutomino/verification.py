@@ -201,11 +201,6 @@ class VerifyOptions:
     oracle_n: int = 6
     order: int = 12
     pair_n: int = 3
-    series_n: int = 25
-    closed_n: int = 40
-    calibration_m: int = 8
-    corollary_n: int = 20
-    kernel_order: int = 30
 
 
 def run_checks(options: VerifyOptions | None = None) -> list[CheckResult]:
@@ -214,14 +209,14 @@ def run_checks(options: VerifyOptions | None = None) -> list[CheckResult]:
     levels = materialize_levels(opt.max_n)
     return [
         check_sequence(),
-        check_closed_form(opt.closed_n),
-        check_series(opt.series_n),
+        check_closed_form(),
+        check_series(),
         check_eco_partition(levels, opt.max_n),
         check_corner_identities(levels, opt.max_n),
-        check_oracle_calibration(opt.calibration_m),
+        check_oracle_calibration(),
         check_oracle_triangulation(opt.oracle_n),
-        check_corollaries(opt.corollary_n),
+        check_corollaries(),
         check_functional_equations(opt.order),
-        check_kernel(opt.kernel_order),
+        check_kernel(),
         check_pair_oracle(opt.pair_n),
     ]

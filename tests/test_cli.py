@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutomino.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -23,10 +33,28 @@ def test_count_sequence(capsys):
     assert [int(line) for line in out.split()] == [1, 4, 18, 84, 394, 1836, 8468]
 
 
-def test_count_rejects_zero():
+def test_count_rejects_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "0"])
     assert exc.value.code == 2
+    # every integer flag goes through the same parse
+    for argv in (
+        ["count", "--n"],
+        ["census", "--n"],
+        ["generate", "--n"],
+        ["series", "F1", "--order"],
+        ["oracle", "--n"],
+        ["oracle", "--calibrate"],
+        ["verify", "--max-n"],
+        ["verify", "--oracle-n"],
+        ["verify", "--order"],
+        ["verify", "--pair-n"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["abc"])
+        assert exc.value.code == 2, argv
+        assert "'abc' is not an integer" in capsys.readouterr().err, argv
 
 
 def test_unknown_command_is_usage_error():
@@ -119,6 +147,61 @@ def test_render_malformed_record_is_a_one_line_error(capsys, monkeypatch, record
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(["n", "cols", "label"]) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+# records whose columns are mostly integer pairs, so that some of them decode
+_RECORDS = st.fixed_dictionaries(
+    {"cols": st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=2), min_size=1, max_size=4)},
+    optional={"n": st.integers(min_value=0, max_value=5) | _JSON},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _RECORDS, st.sampled_from(["ascii", "svg"]))
+def test_render_any_json_value_exits_cleanly(value, fmt):
+    # ints stay small so that some values are drawable shapes; how large a
+    # shape render accepts is a separate question
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(value) + "\n")
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["render", "--format", fmt])
+    finally:
+        sys.stdin = saved
+    err = stderr.getvalue()
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == "" and stdout.getvalue()
+
+
+def test_closed_pipe_ends_the_command_quietly():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permutomino.cli", "generate", "--n", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert json.loads(first)["n"] == 8
+    assert code == 0
+    assert err == b""
 
 
 def test_series_univariate(capsys):

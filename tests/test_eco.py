@@ -94,7 +94,8 @@ def test_children_are_valid_and_tagged_by_rightmost_corner(levels):
         for p in levels[n]:
             for tag, child in children(p):
                 assert is_valid(child)
-                _, kind = corner_report(boundary_word(child)).rightmost_reentrant()
+                report = corner_report(boundary_word(child))
+                _, kind = max(report.reentrant, key=lambda item: item[0][0])
                 assert kind == tag.kind
 
 
@@ -114,6 +115,10 @@ def test_parent_examples():
 def test_parent_of_unit_cell_fails():
     with pytest.raises(ValueError):
         parent(UNIT)
+    # no expansion ends in two equal columns or moves both ends at once
+    for cols in ([(1, 2), (1, 2)], [(1, 2), (2, 3)]):
+        with pytest.raises(ValueError):
+            parent(Permutomino.from_columns(cols))
 
 
 def test_walkers_reject_bad_size_at_call_time():

@@ -1,10 +1,14 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import permutomino
 
 REMOVED = ("enumerate_convex", "generate", "degree", "Visitor", "census_by_class", "BivariateSeries")
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count")
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def test_census_attribute_is_the_module():
@@ -28,6 +32,18 @@ def test_removed_names_are_gone():
     assert "census" not in permutomino.__all__
 
 
+def test_boundary_geometry_lives_in_the_profile_scan():
+    # the edge walk and its helpers survive only as test references, and
+    # eco.parent reads its last two columns instead of the boundary
+    grid = importlib.import_module("permutomino.grid")
+    eco = importlib.import_module("permutomino.eco")
+    for name in REMOVED_FROM_GRID:
+        assert not hasattr(grid, name), name
+    assert not hasattr(grid.CornerReport, "rightmost_reentrant")
+    assert not hasattr(eco, "boundary_word")
+    assert not hasattr(eco, "corner_report")
+
+
 def test_benchmark_spans_resolve():
     # a renamed function would silently read zero in a per-layer benchmark metric
     spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
@@ -46,3 +62,14 @@ def test_benchmark_census_counters_read_the_level_cache(monkeypatch):
     census_module.census(300)
     assert len(census_module._LEVELS) == 300
     assert len(census_module.census(300).rows()) == 598
+
+
+def test_benchmark_checker_self_tests_pass():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "test_check.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
