@@ -182,21 +182,3 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("index must be >= 0")
     return comb(2 * n, n) // (n + 1)
-
-
-def diagnostic_triple_sum(n: int) -> int:
-    """A previously published triple-sum expression for the count one size
-    up, evaluated exactly as printed.
-
-    It yields 1, 4, 30 at n = 2, 3, 4 and disagrees with every shift of the
-    actual sequence from the third value on, so it is quarantined as a
-    diagnostic and never used for verification.
-    """
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    total = 0
-    for s in range(n - 1):
-        for t in range(s + 1):
-            for x in range(t + 1):
-                total += comb(n - 2, t) * comb(n - 2, t) * comb(n - 2, x + s - t)
-    return total - (n - 1) * comb(2 * (n - 2), n - 2) + 4 ** (n - 2)

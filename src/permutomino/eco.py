@@ -14,9 +14,9 @@ kind it creates at the new rightmost junction:
   bottom-flush parent), then renormalize.
 
 The inverse map :func:`parent` reads the kind of the rightmost reentrant
-corner off the last two columns and undoes the unique expansion that
-created it, which is what makes the construction a bijection level by
-level.
+corner off the last two columns with :func:`~permutomino.grid.reentrant_corners`
+and undoes the unique expansion that created it, which is what makes the
+construction a bijection level by level.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .grid import Interval, Permutomino, UNIT
+from .grid import Interval, Permutomino, UNIT, reentrant_corners
 
 
 @dataclass(frozen=True)
@@ -132,30 +132,31 @@ def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
 def parent(p: Permutomino) -> tuple[Permutomino, OperationTag]:
     """Undo the unique expansion that produced ``p`` (size must be >= 2).
 
-    The rightmost reentrant corner sits at abscissa n, so its kind follows
-    from how the last column differs from the one before it: top up is EN,
-    top down SE, bottom up WS, bottom down NW.  EN and NW drop the rightmost
-    column (NW also shifts back down); SE and WS additionally delete one of
-    the two identical rows created by the duplication, located just above
-    the rightmost column's top (SE) or just below its bottom (WS).  Last two
-    columns that do not differ in exactly one end come from no expansion
-    and raise ValueError.
+    The rightmost reentrant corner sits at abscissa n, so
+    :func:`~permutomino.grid.reentrant_corners` of the last two columns
+    gives its kind and ordinate y.  EN and NW drop the rightmost column (NW
+    also shifts back down); SE and WS additionally delete one of the two
+    identical rows created by the duplication: row y, just above the
+    rightmost column's top (SE), or row y - 1, just below its bottom (WS).
+    Last two columns that do not differ in exactly one end come from no
+    expansion and raise ValueError.
     """
     if p.n < 2:
         raise ValueError("the single cell has no parent")
-    rest = p.cols[:-1]
-    (lo_a, hi_a), (lo, hi) = p.cols[-2:]
-    if (lo_a == lo) == (hi_a == hi):
+    corners = reentrant_corners(p.cols[-2:])
+    if len(corners) != 1:
         raise ValueError("the last two columns must differ in exactly one end")
-    if hi > hi_a:
+    [((_, y), kind)] = corners
+    rest = p.cols[:-1]
+    if kind == "EN":
         return Permutomino(rest), OperationTag("EN")
-    if lo < lo_a:
+    if kind == "NW":
         shift = min(c_lo for c_lo, _ in rest) - 1
         return Permutomino(tuple((c_lo - shift, c_hi - shift) for c_lo, c_hi in rest)), OperationTag("NW")
-    if hi < hi_a:
-        return Permutomino(_remove_row(rest, hi + 1)), OperationTag("SE", hi - lo + 1)
-    parent_p = Permutomino(_remove_row(rest, lo - 1))
-    return parent_p, OperationTag("WS", parent_p.degree - (hi - lo + 1) + 1)
+    if kind == "SE":
+        return Permutomino(_remove_row(rest, y)), OperationTag("SE", p.degree)
+    parent_p = Permutomino(_remove_row(rest, y - 1))
+    return parent_p, OperationTag("WS", parent_p.degree - p.degree + 1)
 
 
 def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, tuple[OperationTag, ...]]]:

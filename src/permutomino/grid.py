@@ -19,7 +19,8 @@ Clockwise corner step-pairs ``NE, ES, SW, WN`` are convex ("salient")
 corners; ``EN, SE, WS, NW`` are concave ("reentrant") corners.  Reentrant
 kinds double as the names of the growth operations in :mod:`permutomino.eco`,
 because each operation creates a child whose rightmost reentrant corner has
-exactly that kind.
+exactly that kind; :func:`reentrant_corners` reads every reentrant corner and
+its kind off the column profiles.
 """
 
 from __future__ import annotations
@@ -140,9 +141,6 @@ class Permutomino:
     def touches_bottom(self) -> bool:
         """Rightmost column reaches the minimal ordinate (always 1)."""
         return self.cols[-1][0] == 1
-
-    def cell_count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.cols)
 
     def cells(self) -> Iterator[Point]:
         for i, (lo, hi) in enumerate(self.cols, start=1):
@@ -464,25 +462,45 @@ def from_permutations(pair: PermPair) -> Permutomino:
     return Permutomino(tuple(cols))
 
 
+def reentrant_corners(shape: "Permutomino | Sequence[Interval]") -> tuple[tuple[Point, str], ...]:
+    """Reentrant corners of a connected column-interval polyomino, ordered
+    by abscissa, as ``(vertex, kind)`` pairs like :class:`CornerReport`'s.
+
+    Read off the column profiles: at each inner abscissa x, column x-1
+    ``(lo_a, hi_a)`` meets column x ``(lo_b, hi_b)``.  A top that steps up
+    makes EN at ``(x, hi_a+1)``, one that steps down SE at ``(x, hi_b+1)``;
+    a bottom that steps up makes WS at ``(x, lo_b)``, one that steps down NW
+    at ``(x, lo_a)``.  Columns that do not overlap raise
+    :class:`BoundaryError`.
+    """
+    cols = _cols_of(shape)
+    corners: list[tuple[Point, str]] = []
+    for x, ((lo_a, hi_a), (lo_b, hi_b)) in enumerate(zip(cols, cols[1:]), start=2):
+        if lo_b > hi_a or hi_b < lo_a:
+            raise BoundaryError("consecutive columns do not overlap")
+        if hi_b > hi_a:
+            corners.append(((x, hi_a + 1), "EN"))
+        elif hi_b < hi_a:
+            corners.append(((x, hi_b + 1), "SE"))
+        if lo_b > lo_a:
+            corners.append(((x, lo_b), "WS"))
+        elif lo_b < lo_a:
+            corners.append(((x, lo_a), "NW"))
+    return tuple(corners)
+
+
 def reentrant_matrix(p: Permutomino) -> ReentrantPermutation:
     """Reentrant corners of a valid convex permutomino as a decorated
-    permutation of ``[n-1]`` (empty for n = 1)."""
-    report = corner_report(boundary_word(p))
-    size = p.n - 1
-    by_abscissa: dict[int, tuple[int, str]] = {}
-    ordinates: set[int] = set()
-    for (x, y), kind in report.reentrant:
-        if x - 1 in by_abscissa or y - 1 in ordinates:
-            raise ValueError("reentrant corners do not form a permutation matrix")
-        by_abscissa[x - 1] = (y - 1, kind)
-        ordinates.add(y - 1)
-    if set(by_abscissa) != set(range(1, size + 1)):
+    permutation of ``[n-1]`` (empty for n = 1).
+
+    Raises ``ValueError`` unless there is exactly one corner at each inner
+    abscissa ``2..n`` and the corner ordinates are exactly ``2..n``.
+    """
+    corners = reentrant_corners(p)
+    inner = list(range(2, p.n + 1))
+    if [x for (x, _), _ in corners] != inner or sorted(y for (_, y), _ in corners) != inner:
         raise ValueError("reentrant corners do not form a permutation matrix")
-    sigma = tuple(by_abscissa[x][0] for x in range(1, size + 1))
-    symbols = tuple(by_abscissa[x][1] for x in range(1, size + 1))
-    if set(sigma) != set(range(1, size + 1)):
-        raise ValueError("reentrant corners do not form a permutation matrix")
-    return ReentrantPermutation(sigma, symbols)
+    return ReentrantPermutation(tuple(y - 1 for (_, y), _ in corners), tuple(kind for _, kind in corners))
 
 
 def render(p: Permutomino, fmt: str = "ascii") -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .census import census as _level_census
 
@@ -214,7 +214,9 @@ class TruncatedSeries:
         The recurrence runs on integers: with ``self = C/d`` (``C`` integer
         numerators over the common denominator ``d``), the coefficient of t^k
         for k ≥ 1 is ``v_k / (2^(2k−1)·d^k)``, where
-        ``v_k = 4^(k−1)·d^(k−1)·C_k − Σ_{0<i<k} v_i·v_(k−i)``.
+        ``v_k = 4^(k−1)·d^(k−1)·C_k − Σ_{0<i<k} v_i·v_(k−i)``.  The sum is
+        symmetric in i and k−i, so it is formed as twice the sum over
+        ``0 < i < k/2`` plus ``v_(k/2)²`` when k is even.
         """
         if self.coeffs[0] != 1:
             raise ValueError("square root needs constant term 1")
@@ -222,7 +224,10 @@ class TruncatedSeries:
         v = [1]
         root = [Fraction(1)]
         for k in range(1, self.order + 1):
-            v.append(4 ** (k - 1) * d ** (k - 1) * nums[k] - sum(v[i] * v[k - i] for i in range(1, k)))
+            cross = 2 * sum(v[i] * v[k - i] for i in range(1, (k + 1) // 2))
+            if k % 2 == 0:
+                cross += v[k // 2] ** 2
+            v.append(4 ** (k - 1) * d ** (k - 1) * nums[k] - cross)
             root.append(Fraction(v[k], 2 ** (2 * k - 1) * d**k))
         return TruncatedSeries(tuple(root))
 
@@ -256,40 +261,37 @@ class TruncatedSeries:
         return out
 
 
-def polynomial(values: Sequence[Scalar], order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs(values, order)
-
-
 def sqrt_1m4t(order: int) -> TruncatedSeries:
     """The series S with S^2 = 1 - 4t; starts 1, -2, -2, -4, -10, ..."""
-    return polynomial([1, -4], order).sqrt()
+    return TruncatedSeries.from_coeffs([1, -4], order).sqrt()
 
 
 def series_b1(order: int) -> TruncatedSeries:
     """t / (1 - 2t): class-B totals by size (the stack counts 2^(n-1))."""
-    return polynomial([0, 1], order) / polynomial([1, -2], order)
+    return TruncatedSeries.from_coeffs([0, 1], order) / TruncatedSeries.from_coeffs([1, -2], order)
 
 
 def series_r1(order: int) -> TruncatedSeries:
     """1/sqrt(1-4t) - 1/(1-2t): class-R totals by size."""
-    return sqrt_1m4t(order).inverse() - polynomial([1, -2], order).inverse()
+    return sqrt_1m4t(order).inverse() - TruncatedSeries.from_coeffs([1, -2], order).inverse()
 
 
 def series_n1(order: int) -> TruncatedSeries:
     """Class-G totals by size:
     (1-7t+14t^2-4t^3) / ((1-2t)(1-4t)^2) - (1-3t) / (1-4t)^(3/2)."""
-    one_m4t = polynomial([1, -4], order)
-    rational = polynomial([1, -7, 14, -4], order) / (polynomial([1, -2], order) * one_m4t * one_m4t)
-    algebraic = polynomial([1, -3], order) / (one_m4t * sqrt_1m4t(order))
+    one_m4t = TruncatedSeries.from_coeffs([1, -4], order)
+    one_m2t = TruncatedSeries.from_coeffs([1, -2], order)
+    rational = TruncatedSeries.from_coeffs([1, -7, 14, -4], order) / (one_m2t * one_m4t * one_m4t)
+    algebraic = TruncatedSeries.from_coeffs([1, -3], order) / (one_m4t * sqrt_1m4t(order))
     return rational - algebraic
 
 
 def series_f1(order: int) -> TruncatedSeries:
     """Convex permutominoes by size:
     2t(1-3t)/(1-4t)^2 - t/(1-4t)^(3/2); starts t + 4t^2 + 18t^3 + ..."""
-    one_m4t = polynomial([1, -4], order)
-    rational = polynomial([0, 2, -6], order) / (one_m4t * one_m4t)
-    algebraic = polynomial([0, 1], order) / (one_m4t * sqrt_1m4t(order))
+    one_m4t = TruncatedSeries.from_coeffs([1, -4], order)
+    rational = TruncatedSeries.from_coeffs([0, 2, -6], order) / (one_m4t * one_m4t)
+    algebraic = TruncatedSeries.from_coeffs([0, 1], order) / (one_m4t * sqrt_1m4t(order))
     return rational - algebraic
 
 
@@ -329,11 +331,6 @@ def census_bivariate(order: int) -> tuple[TruncatedSeries, TruncatedSeries, Trun
         for (k, group), c in _level_census(n).counts.items():
             terms[group][(n, k)] = c
     return tuple(TruncatedSeries.from_terms(terms[g], order) for g in ("B", "R", "G"))  # type: ignore[return-value]
-
-
-def census_full_bivariate(order: int) -> TruncatedSeries:
-    b, r, g = census_bivariate(order)
-    return b + r + g
 
 
 def functional_equation_residuals(order: int) -> dict[str, TruncatedSeries]:

@@ -1,5 +1,7 @@
 """The cell- and edge-level boundary derivations that ``permutomino.grid``
-used before it read the boundary off the column profiles.
+used before it read the boundary off the column profiles, and the
+boundary-word walk that ``reentrant_matrix`` used before it read the
+reentrant corners off them.
 
 They are kept here only as references: the tests compare the profile
 scans with them.  The bodies are unchanged apart from their names.
@@ -18,7 +20,9 @@ from permutomino.grid import (
     PermPair,
     Permutomino,
     Point,
+    ReentrantPermutation,
     _cols_of,
+    corner_report,
 )
 
 
@@ -183,3 +187,24 @@ def vertex_permutations(p: Permutomino) -> PermPair:
         tuple(maps[0][x] for x in range(1, m + 1)),
         tuple(maps[1][x] for x in range(1, m + 1)),
     )
+
+
+def reentrant_matrix(p: Permutomino) -> ReentrantPermutation:
+    """Reentrant corners of a valid convex permutomino as a decorated
+    permutation of ``[n-1]`` (empty for n = 1)."""
+    report = corner_report(boundary_word(p))
+    size = p.n - 1
+    by_abscissa: dict[int, tuple[int, str]] = {}
+    ordinates: set[int] = set()
+    for (x, y), kind in report.reentrant:
+        if x - 1 in by_abscissa or y - 1 in ordinates:
+            raise ValueError("reentrant corners do not form a permutation matrix")
+        by_abscissa[x - 1] = (y - 1, kind)
+        ordinates.add(y - 1)
+    if set(by_abscissa) != set(range(1, size + 1)):
+        raise ValueError("reentrant corners do not form a permutation matrix")
+    sigma = tuple(by_abscissa[x][0] for x in range(1, size + 1))
+    symbols = tuple(by_abscissa[x][1] for x in range(1, size + 1))
+    if set(sigma) != set(range(1, size + 1)):
+        raise ValueError("reentrant corners do not form a permutation matrix")
+    return ReentrantPermutation(sigma, symbols)

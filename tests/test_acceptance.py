@@ -16,6 +16,7 @@ _BUDGETS = {
     "C2": 1.0,
     "C3": 1.0,
     "C4": 17.0,
+    "C5": 3.5,
     "C6": 600.0,
 }
 

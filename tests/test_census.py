@@ -13,7 +13,6 @@ from permutomino.census import (
     closed_directed,
     closed_stack,
     count,
-    diagnostic_triple_sum,
     production,
 )
 
@@ -94,16 +93,6 @@ def test_directed_counts():
 
 def test_catalan():
     assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
-
-
-def test_diagnostic_triple_sum_values():
-    # quarantined legacy formula: matches nothing past its first two values
-    assert diagnostic_triple_sum(2) == 1
-    assert diagnostic_triple_sum(3) == 4
-    assert diagnostic_triple_sum(4) == 30
-    assert diagnostic_triple_sum(4) not in (count(3), count(4), count(5))
-    with pytest.raises(ValueError):
-        diagnostic_triple_sum(1)
 
 
 def test_census_rows_are_deterministic():

@@ -218,6 +218,29 @@ def test_reentrant_matrix_is_permutation(levels):
             assert sorted(rp.sigma) == list(range(1, n))
 
 
+def test_reentrant_matrix_and_parent_do_not_walk_the_boundary(monkeypatch):
+    # both read the corner kinds off the column profiles alone
+    from permutomino import eco, grid
+
+    def walked(*args):
+        raise AssertionError("boundary walked")
+
+    monkeypatch.setattr(grid, "boundary_word", walked)
+    monkeypatch.setattr(grid, "corner_report", walked)
+    assert reentrant_matrix(L_SHAPE).symbols == ("SE",)
+    assert eco.parent(L_SHAPE) == (UNIT, eco.OperationTag("SE", 1))
+
+
+def test_corner_identities_fail_when_the_profiles_disagree_with_the_word(levels, monkeypatch):
+    from permutomino import verification
+
+    monkeypatch.setattr(verification, "reentrant_corners", lambda p: ())
+    result = verification.check_corner_identities(levels, 3)
+    assert not result.ok
+    assert "disagree on the reentrant corners" in result.detail
+    assert json.loads(result.witness)["n"] == 2
+
+
 def test_classify():
     assert classify(UNIT).key() == (1, "B")
     assert classify(L_SHAPE) == classify(L_SHAPE)

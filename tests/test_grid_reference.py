@@ -1,11 +1,22 @@
 """The profile-based boundary geometry of ``permutomino.grid`` against the
-edge-walk, row-dict and side-census derivations kept in ``reference_grid``."""
+edge-walk, row-dict, side-census and word-walk derivations kept in
+``reference_grid``."""
 
 import pytest
 
 import reference_grid as ref
 from permutomino.eco import iter_permutominoes, parent
-from permutomino.grid import BoundaryError, boundary_word, corner_report, is_convex, is_permutomino, vertex_permutations
+from permutomino.grid import (
+    BoundaryError,
+    Permutomino,
+    boundary_word,
+    corner_report,
+    is_convex,
+    is_permutomino,
+    reentrant_corners,
+    reentrant_matrix,
+    vertex_permutations,
+)
 from permutomino.oracle import iter_convex
 
 _INTERVALS = [(lo, hi) for lo in range(1, 5) for hi in range(lo, 5)]
@@ -24,6 +35,10 @@ def _connected_shapes_in_4x4():
                 yield from extend(path + ((lo, hi),))
 
     return extend(())
+
+
+def _convex_shapes_in_5x5():
+    return [shape for rows in range(1, 6) for cols in range(1, 6) for shape in iter_convex(rows, cols)]
 
 
 def _assert_same_geometry(shape):
@@ -61,6 +76,45 @@ def test_parent_kind_is_the_rightmost_reentrant_corner():
             assert parent(p)[1].kind == kind, p
 
 
+def _assert_same_reentrant_corners(shape):
+    corners = reentrant_corners(shape)
+    abscissas = [x for (x, _), _ in corners]
+    assert abscissas == sorted(abscissas), shape
+    assert sorted(corners) == sorted(corner_report(ref.boundary_word(shape)).reentrant), shape
+
+
+def test_reentrant_corners_match_the_word_walk_on_convex_shapes():
+    shapes = _convex_shapes_in_5x5()
+    assert len(shapes) == 29816
+    for shape in shapes:
+        _assert_same_reentrant_corners(shape)
+
+
+def test_reentrant_corners_match_the_word_walk_on_connected_shapes():
+    for shape in _connected_shapes_in_4x4():
+        _assert_same_reentrant_corners(shape)
+
+
+def _matrix_or_error(matrix, p):
+    try:
+        return matrix(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_reentrant_matrix_matches_the_word_walk():
+    # convex non-permutominoes must be rejected exactly where the word walk
+    # rejects them, and permutominoes must give the same decorated matrix
+    shapes = [Permutomino(s) for s in _convex_shapes_in_5x5()]
+    shapes += [p for n in range(1, 9) for p in iter_permutominoes(n)]
+    rejected = 0
+    for p in shapes:
+        got = _matrix_or_error(reentrant_matrix, p)
+        assert got == _matrix_or_error(ref.reentrant_matrix, p), p
+        rejected += isinstance(got, str)
+    assert rejected > 0
+
+
 @pytest.mark.parametrize("cols", [((1, 1), (2, 2)), ((1, 2), (3, 3)), ((2, 2), (1, 1)), ((1, 3), (1, 1), (3, 4))])
 def test_columns_that_do_not_overlap_raise_boundary_error(cols):
     # corner contact and gaps alike; the edge walk rejects them too
@@ -70,3 +124,5 @@ def test_columns_that_do_not_overlap_raise_boundary_error(cols):
         boundary_word(cols)
     with pytest.raises(BoundaryError):
         is_permutomino(cols)
+    with pytest.raises(BoundaryError):
+        reentrant_corners(cols)

@@ -5,7 +5,17 @@ from pathlib import Path
 
 import permutomino
 
-REMOVED = ("enumerate_convex", "generate", "degree", "Visitor", "census_by_class", "BivariateSeries")
+REMOVED = (
+    "enumerate_convex",
+    "generate",
+    "degree",
+    "Visitor",
+    "census_by_class",
+    "BivariateSeries",
+    "diagnostic_triple_sum",
+    "polynomial",
+    "census_full_bivariate",
+)
 REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count")
 ROOT = Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
@@ -30,6 +40,7 @@ def test_removed_names_are_gone():
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "census" not in permutomino.__all__
+    assert not hasattr(permutomino.Permutomino, "cell_count")
 
 
 def test_boundary_geometry_lives_in_the_profile_scan():
