@@ -16,10 +16,7 @@ from .census import (
 from .eco import (
     OperationTag,
     children,
-    expand_en,
-    expand_nw,
-    expand_se,
-    expand_ws,
+    expand,
     iter_permutominoes,
     iter_with_paths,
     parent,
@@ -30,7 +27,6 @@ from .grid import (
     BoundaryWord,
     CornerReport,
     DisconnectedPair,
-    Label,
     NotColumnConvex,
     PairError,
     PermPair,
@@ -66,7 +62,6 @@ __all__ = [
     "BoundaryWord",
     "CornerReport",
     "DisconnectedPair",
-    "Label",
     "LabelCensus",
     "NotColumnConvex",
     "OperationTag",
@@ -91,10 +86,7 @@ __all__ = [
     "count",
     "count_pair_permutominoes",
     "count_permutominoes",
-    "expand_en",
-    "expand_nw",
-    "expand_se",
-    "expand_ws",
+    "expand",
     "from_permutations",
     "is_convex",
     "is_permutomino",

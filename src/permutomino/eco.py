@@ -3,7 +3,8 @@
 Every convex permutomino of size n+1 is produced exactly once by applying
 one of four local expansions to a convex permutomino of size n, always acting
 on the rightmost column.  Each expansion is named after the reentrant corner
-kind it creates at the new rightmost junction:
+kind it creates at the new rightmost junction, and :func:`expand` applies
+the one an :class:`OperationTag` names:
 
 * ``EN``  append a column flush with the top (needs a top-flush parent);
 * ``SE``  duplicate the row of the i-th rightmost-column cell and append a
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .grid import Interval, Permutomino, UNIT, reentrant_corners
+from .grid import REENTRANT_KINDS, Interval, Permutomino, UNIT, reentrant_corners
 
 
 @dataclass(frozen=True)
@@ -55,58 +56,34 @@ def _remove_row(cols: tuple[Interval, ...], r: int) -> tuple[Interval, ...]:
     )
 
 
-def expand_en(p: Permutomino) -> Permutomino:
-    """Append a rightmost column one cell taller, flush with the top.
+def expand(p: Permutomino, tag: OperationTag) -> Permutomino:
+    """Apply the expansion ``tag`` (described in the module docstring) to
+    ``p``; the child's rightmost reentrant corner has the tag's kind.
 
-    Requires the parent's rightmost column to touch the top of the bounding
-    box; the child keeps that property and its rightmost reentrant corner is
-    of kind EN.
+    Any tag that :func:`children` would not emit for ``p`` raises
+    ValueError: EN on a shape that is not top-flush, NW on one that is not
+    bottom-flush, EN or NW with a cell index, SE or WS without a cell in
+    ``1..degree``, and any other kind.
     """
-    if not p.touches_top():
-        raise ValueError("EN expansion needs a top-flush rightmost column")
+    kind, i = tag.kind, tag.cell
     lo, hi = p.cols[-1]
-    return Permutomino(p.cols + ((lo, hi + 1),))
-
-
-def expand_nw(p: Permutomino) -> Permutomino:
-    """Append a rightmost column one cell taller, hanging one row below the
-    old bottom, and shift everything up to restore the normalization.
-
-    Requires the parent's rightmost column to touch the bottom; the child
-    keeps that property and its rightmost reentrant corner is of kind NW.
-    """
+    if kind == "SE" or kind == "WS":
+        if type(i) is not int or not 1 <= i <= hi - lo + 1:
+            raise ValueError(f"{kind} needs a cell index in 1..{hi - lo + 1}, got {i!r}")
+        r = lo + i - 1
+        last = (lo, r) if kind == "SE" else (r + 1, hi + 1)
+        return Permutomino(_duplicate_row(p.cols, r) + (last,))
+    if kind not in REENTRANT_KINDS:
+        raise ValueError(f"unknown operation {kind!r}")
+    if i is not None:
+        raise ValueError(f"{kind} takes no cell index, got {i!r}")
+    if kind == "EN":
+        if not p.touches_top():
+            raise ValueError("EN expansion needs a top-flush rightmost column")
+        return Permutomino(p.cols + ((lo, hi + 1),))
     if not p.touches_bottom():
         raise ValueError("NW expansion needs a bottom-flush rightmost column")
-    shifted = tuple((lo + 1, hi + 1) for lo, hi in p.cols)
-    return Permutomino(shifted + ((1, p.cols[-1][1] + 1),))
-
-
-def expand_se(p: Permutomino, i: int) -> Permutomino:
-    """Duplicate the row of the i-th rightmost-column cell (from the bottom)
-    and append a bottom-anchored column of exactly i cells.
-
-    Valid for every shape and every ``1 <= i <= degree``; the child has
-    degree i and its rightmost reentrant corner is of kind SE.
-    """
-    lo, hi = p.cols[-1]
-    if not 1 <= i <= hi - lo + 1:
-        raise ValueError(f"cell index {i} out of range 1..{hi - lo + 1}")
-    r = lo + i - 1
-    return Permutomino(_duplicate_row(p.cols, r) + ((lo, r),))
-
-
-def expand_ws(p: Permutomino, i: int) -> Permutomino:
-    """Duplicate the row of the i-th rightmost-column cell (from the bottom)
-    and append a top-anchored column of exactly ``degree - i + 1`` cells.
-
-    Valid for every shape and every ``1 <= i <= degree``; the child's
-    rightmost reentrant corner is of kind WS.
-    """
-    lo, hi = p.cols[-1]
-    if not 1 <= i <= hi - lo + 1:
-        raise ValueError(f"cell index {i} out of range 1..{hi - lo + 1}")
-    r = lo + i - 1
-    return Permutomino(_duplicate_row(p.cols, r) + ((lo + i, hi + 1),))
+    return Permutomino(tuple((c_lo + 1, c_hi + 1) for c_lo, c_hi in p.cols) + ((1, hi + 1),))
 
 
 def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
@@ -117,20 +94,16 @@ def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
     class G gets 2k.
     """
     k = p.degree
-    out: list[tuple[OperationTag, Permutomino]] = []
-    if p.touches_top():
-        out.append((OperationTag("EN"), expand_en(p)))
-    for i in range(1, k + 1):
-        out.append((OperationTag("SE", i), expand_se(p, i)))
-    for i in range(1, k + 1):
-        out.append((OperationTag("WS", i), expand_ws(p, i)))
+    tags = [OperationTag("EN")] if p.touches_top() else []
+    tags += [OperationTag(kind, i) for kind in ("SE", "WS") for i in range(1, k + 1)]
     if p.touches_bottom():
-        out.append((OperationTag("NW"), expand_nw(p)))
-    return out
+        tags.append(OperationTag("NW"))
+    return [(tag, expand(p, tag)) for tag in tags]
 
 
 def parent(p: Permutomino) -> tuple[Permutomino, OperationTag]:
-    """Undo the unique expansion that produced ``p`` (size must be >= 2).
+    """Undo the unique expansion that produced ``p`` (size must be >= 2):
+    the inverse of :func:`expand`, so ``expand(*parent(p)) == p``.
 
     The rightmost reentrant corner sits at abscissa n, so
     :func:`~permutomino.grid.reentrant_corners` of the last two columns

@@ -61,28 +61,6 @@ class NotColumnConvex(PairError):
 
 
 @dataclass(frozen=True)
-class Label:
-    """Generating-tree label: degree plus class B / R / G.
-
-    ``k`` is the number of cells in the rightmost column.  Class B means the
-    rightmost column touches both the top and the bottom of the bounding box,
-    R exactly one of them, G neither.  For class R, ``flush`` records which
-    side is touched (``"top"`` or ``"bottom"``); it is ``None`` otherwise.
-    """
-
-    k: int
-    group: str
-    flush: str | None = None
-
-    def key(self) -> tuple[int, str]:
-        """(degree, class) pair; the census works at this granularity."""
-        return (self.k, self.group)
-
-    def __str__(self) -> str:
-        return f"({self.k}){self.group.lower()}"
-
-
-@dataclass(frozen=True)
 class Permutomino:
     """A connected column-interval polyomino, south-west normalized.
 
@@ -148,11 +126,11 @@ class Permutomino:
                 yield (i, j)
 
     def to_record(self) -> dict:
-        label = classify(self)
+        k, group = classify(self)
         return {
             "n": self.n,
             "cols": [[lo, hi] for lo, hi in self.cols],
-            "label": {"k": label.k, "class": label.group},
+            "label": {"k": k, "class": group},
         }
 
     @classmethod
@@ -248,6 +226,8 @@ class ReentrantPermutation:
 def _cols_of(shape: "Permutomino | Sequence[Interval]") -> tuple[Interval, ...]:
     if isinstance(shape, Permutomino):
         return shape.cols
+    if isinstance(shape, tuple):
+        return shape
     return tuple((lo, hi) for lo, hi in shape)
 
 
@@ -376,17 +356,16 @@ def is_valid(p: Permutomino) -> bool:
     return p.height == p.n and is_convex(p) and is_permutomino(p)
 
 
-def classify(p: Permutomino) -> Label:
-    """Degree and class of a shape, read off its rightmost column."""
+def classify(p: Permutomino) -> tuple[int, str]:
+    """Generating-tree label of a shape as the census key ``(k, class)``.
+
+    ``k`` is the degree, the number of cells in the rightmost column.  Class
+    B means that column touches both the top and the bottom of the bounding
+    box, R exactly one of them, G neither.
+    """
     top = p.touches_top()
     bottom = p.touches_bottom()
-    if top and bottom:
-        return Label(p.degree, "B")
-    if top:
-        return Label(p.degree, "R", "top")
-    if bottom:
-        return Label(p.degree, "R", "bottom")
-    return Label(p.degree, "G")
+    return (p.degree, "B" if top and bottom else "R" if top or bottom else "G")
 
 
 def vertex_permutations(p: Permutomino) -> PermPair:

@@ -86,11 +86,10 @@ def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) ->
         for p in level:
             label = classify(p)
             kids = eco.children(p)
-            expected = production(label.k, label.group)
+            expected = production(*label)
             if len(kids) != len(expected):
                 return _fail(name, f"label {label} produced {len(kids)} children", p)
-            produced = sorted(classify(c).key() for _, c in kids)
-            if produced != sorted(expected):
+            if sorted(classify(c) for _, c in kids) != sorted(expected):
                 return _fail(name, f"children labels of {label} break the succession rule", p)
             for tag, child in kids:
                 if child in seen_children:

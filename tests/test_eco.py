@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -8,10 +9,7 @@ from permutomino.census import census, count, production
 from permutomino.eco import (
     OperationTag,
     children,
-    expand_en,
-    expand_nw,
-    expand_se,
-    expand_ws,
+    expand,
     iter_permutominoes,
     iter_with_paths,
     parent,
@@ -22,42 +20,64 @@ L_SHAPE = Permutomino.from_columns([(1, 2), (1, 1)])
 
 
 def test_expand_en_unit_cell():
-    child = expand_en(UNIT)
+    child = expand(UNIT, OperationTag("EN"))
     assert child.cols == ((1, 1), (1, 2))
-    assert classify(child).key() == (2, "B")
+    assert classify(child) == (2, "B")
 
 
 def test_expand_nw_unit_cell():
-    child = expand_nw(UNIT)
+    child = expand(UNIT, OperationTag("NW"))
     assert child.cols == ((2, 2), (1, 2))
-    assert classify(child).key() == (2, "B")
+    assert classify(child) == (2, "B")
 
 
 def test_expand_se_unit_cell():
-    child = expand_se(UNIT, 1)
+    child = expand(UNIT, OperationTag("SE", 1))
     assert child == L_SHAPE
-    assert classify(child).key() == (1, "R")
+    assert classify(child) == (1, "R")
 
 
 def test_expand_ws_unit_cell():
-    child = expand_ws(UNIT, 1)
+    child = expand(UNIT, OperationTag("WS", 1))
     assert child.cols == ((1, 2), (2, 2))
-    assert classify(child).key() == (1, "R")
+    assert classify(child) == (1, "R")
 
 
 def test_expand_preconditions():
     with pytest.raises(ValueError):
-        expand_en(L_SHAPE)  # bottom-flush only
+        expand(L_SHAPE, OperationTag("EN"))  # bottom-flush only
     with pytest.raises(ValueError):
-        expand_nw(Permutomino.from_columns([(1, 2), (2, 2)]))  # top-flush only
+        expand(Permutomino.from_columns([(1, 2), (2, 2)]), OperationTag("NW"))  # top-flush only
     with pytest.raises(ValueError):
-        expand_se(UNIT, 0)
+        expand(UNIT, OperationTag("SE", 0))
     with pytest.raises(ValueError):
-        expand_ws(UNIT, 2)
+        expand(UNIT, OperationTag("WS", 2))
+
+
+def test_expand_admits_exactly_the_tags_children_emits(levels):
+    # every candidate tag on every shape up to size 6: expand builds exactly
+    # children's child for an emitted tag and raises ValueError otherwise
+    cases = 0
+    for n in range(1, 7):
+        for p in levels[n]:
+            emitted = dict(children(p))
+            k = p.degree
+            candidates = [OperationTag("EN"), OperationTag("NW"), OperationTag("EN", 1), OperationTag("NW", 1)]
+            candidates += [OperationTag("XY"), OperationTag("SE"), OperationTag("WS")]
+            candidates += [OperationTag(kind, i) for kind in ("SE", "WS") for i in range(0, k + 2)]
+            for tag in candidates:
+                cases += 1
+                if tag in emitted:
+                    assert expand(p, tag) == emitted[tag], (p, tag)
+                else:
+                    with pytest.raises(ValueError):
+                        expand(p, tag)
+            assert set(emitted) <= set(candidates)
+    assert cases == 35237
 
 
 def test_unit_cell_children_labels():
-    labels = Counter(classify(c).key() for _, c in children(UNIT))
+    labels = Counter(classify(c) for _, c in children(UNIT))
     assert labels == Counter({(1, "R"): 2, (2, "B"): 2})
 
 
@@ -76,17 +96,16 @@ def test_child_order_is_fixed():
 def test_child_count_law(levels):
     for n in range(1, 6):
         for p in levels[n]:
-            label = classify(p)
-            expected = {"B": 2 * label.k + 2, "R": 2 * label.k + 1, "G": 2 * label.k}[label.group]
+            k, group = classify(p)
+            expected = {"B": 2 * k + 2, "R": 2 * k + 1, "G": 2 * k}[group]
             assert len(children(p)) == expected
 
 
 def test_label_transitions_follow_production(levels):
     for n in range(1, 6):
         for p in levels[n]:
-            label = classify(p)
-            got = sorted(classify(c).key() for _, c in children(p))
-            assert got == sorted(production(label.k, label.group))
+            got = sorted(classify(c) for _, c in children(p))
+            assert got == sorted(production(*classify(p)))
 
 
 def test_children_are_valid_and_tagged_by_rightmost_corner(levels):
@@ -104,6 +123,7 @@ def test_parent_round_trip(levels):
         for p in levels[n]:
             for tag, child in children(p):
                 assert parent(child) == (p, tag)
+                assert expand(*parent(child)) == child
 
 
 def test_parent_examples():
@@ -137,7 +157,7 @@ def test_generation_counts_match_census(levels):
 
 def test_materialized_class_split_matches_census(levels):
     for n in range(1, 7):
-        split = Counter(classify(p).group for p in levels[n])
+        split = Counter(classify(p)[1] for p in levels[n])
         assert (split["B"], split["R"], split["G"]) == census(n).by_class()
 
 
@@ -151,15 +171,36 @@ def test_paths_replay_to_the_same_object():
     for p, path in iter_with_paths(4):
         q = UNIT
         for tag in path:
-            if tag.kind == "EN":
-                q = expand_en(q)
-            elif tag.kind == "NW":
-                q = expand_nw(q)
-            elif tag.kind == "SE":
-                q = expand_se(q, tag.cell)
-            else:
-                q = expand_ws(q, tag.cell)
+            q = expand(q, tag)
         assert q == p
+
+
+def test_eco_partition_fails_when_a_child_is_missing(levels, monkeypatch):
+    from permutomino import eco, verification
+
+    real = eco.children
+    monkeypatch.setattr(eco, "children", lambda p: real(p)[:-1])
+    result = verification.check_eco_partition(levels, 3)
+    assert not result.ok
+    assert result.detail == "label (1, 'B') produced 3 children"
+    assert json.loads(result.witness)["cols"] == [[1, 1]]
+
+
+def test_eco_partition_fails_when_a_child_breaks_the_succession_rule(levels, monkeypatch):
+    from permutomino import eco, verification
+
+    real = eco.children
+
+    def swapped(p):
+        # the EN child of the single cell has label (2, B); L_SHAPE has (1, R)
+        kids = real(p)
+        return [(kids[0][0], L_SHAPE)] + kids[1:] if p == UNIT else kids
+
+    monkeypatch.setattr(eco, "children", swapped)
+    result = verification.check_eco_partition(levels, 3)
+    assert not result.ok
+    assert result.detail == "children labels of (1, 'B') break the succession rule"
+    assert json.loads(result.witness)["cols"] == [[1, 1]]
 
 
 @settings(max_examples=80, deadline=None)

@@ -231,6 +231,15 @@ def test_reentrant_matrix_and_parent_do_not_walk_the_boundary(monkeypatch):
     assert eco.parent(L_SHAPE) == (UNIT, eco.OperationTag("SE", 1))
 
 
+def test_raw_columns_in_a_tuple_are_read_without_a_copy():
+    # eco.parent hands reentrant_corners the tuple p.cols[-2:]; lists are converted
+    from permutomino import grid
+
+    cols = ((1, 2), (1, 1))
+    assert grid._cols_of(cols) is cols
+    assert grid._cols_of([[1, 2], (1, 1)]) == cols
+
+
 def test_corner_identities_fail_when_the_profiles_disagree_with_the_word(levels, monkeypatch):
     from permutomino import verification
 
@@ -242,12 +251,10 @@ def test_corner_identities_fail_when_the_profiles_disagree_with_the_word(levels,
 
 
 def test_classify():
-    assert classify(UNIT).key() == (1, "B")
-    assert classify(L_SHAPE) == classify(L_SHAPE)
-    assert (classify(L_SHAPE).k, classify(L_SHAPE).group, classify(L_SHAPE).flush) == (1, "R", "bottom")
-    top_flush = Permutomino.from_columns([(1, 2), (2, 2)])
-    assert (classify(top_flush).k, classify(top_flush).group, classify(top_flush).flush) == (1, "R", "top")
-    assert str(classify(UNIT)) == "(1)b"
+    assert classify(UNIT) == (1, "B")
+    assert classify(L_SHAPE) == (1, "R")  # bottom-flush
+    assert classify(Permutomino.from_columns([(1, 2), (2, 2)])) == (1, "R")  # top-flush
+    assert classify(Permutomino.from_columns([(1, 3), (1, 2), (2, 2)])) == (1, "G")
 
 
 def test_is_valid(levels):

@@ -82,13 +82,13 @@ def test_survivors_match_generator_sets():
 def test_survivor_class_split_at_three():
     split = {"B": 0, "R": 0, "G": 0}
     for p in iter_permutomino_survivors(3):
-        split[classify(p).group] += 1
+        split[classify(p)[1]] += 1
     assert (split["B"], split["R"], split["G"]) == (4, 12, 2) == census(3).by_class()
 
 
 def test_stack_shaped_survivors():
     for n in range(1, 6):
-        stacks = sum(1 for p in iter_permutomino_survivors(n) if classify(p).group == "B")
+        stacks = sum(1 for p in iter_permutomino_survivors(n) if classify(p)[1] == "B")
         assert stacks == closed_stack(n)
 
 

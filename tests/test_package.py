@@ -15,6 +15,11 @@ REMOVED = (
     "diagnostic_triple_sum",
     "polynomial",
     "census_full_bivariate",
+    "expand_en",
+    "expand_nw",
+    "expand_se",
+    "expand_ws",
+    "Label",
 )
 REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count")
 ROOT = Path(__file__).resolve().parent.parent
