@@ -153,15 +153,19 @@ def _cmd_census(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
+def _record_line(p: Permutomino, key: tuple[int, str], path: tuple[eco.OperationTag, ...] | None) -> str:
+    # json.dumps(p.to_record()) plus the path, written out: the walker
+    # carries the label, and every value is an int or a plain ASCII word
+    cols = ", ".join([f"[{lo}, {hi}]" for lo, hi in p.cols])
+    line = f'{{"n": {p.n}, "cols": [{cols}], "label": {{"k": {key[0]}, "class": "{key[1]}"}}'
+    if path is not None:
+        line += ', "path": [' + ", ".join([f'"{tag}"' for tag in path]) + "]"
+    return line + "}\n"
+
+
 def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
-    if args.paths:
-        for p, path in eco.iter_with_paths(args.n):
-            record = p.to_record()
-            record["path"] = [str(tag) for tag in path]
-            print(json.dumps(record), file=out)
-    else:
-        for p in eco.iter_permutominoes(args.n):
-            print(json.dumps(p.to_record()), file=out)
+    for p, key, path in eco.iter_with_paths(args.n):
+        out.write(_record_line(p, key, path if args.paths else None))
     return 0
 
 

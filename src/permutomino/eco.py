@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .census import Key
 from .grid import REENTRANT_KINDS, Interval, Permutomino, UNIT, reentrant_corners
 
 
@@ -132,26 +133,45 @@ def parent(p: Permutomino) -> tuple[Permutomino, OperationTag]:
     return parent_p, OperationTag("WS", parent_p.degree - p.degree + 1)
 
 
-def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, tuple[OperationTag, ...]]]:
+def child_label(key: Key, tag: OperationTag, top: bool) -> Key:
+    """Census key of the child that ``tag`` (as :func:`children` emits it)
+    builds from a shape with key ``key = (k, class)``; ``top`` says whether
+    a class-R parent's rightmost column touches the top.  EN and NW give
+    ``(k + 1, class)``; SE:i gives (i, R) from a bottom-flush parent and WS:i
+    (k - i + 1, R) from a top-flush one, class G otherwise.  Over the
+    admissible tags these keys are :func:`~permutomino.census.production`.
+    """
+    k, group = key
+    if tag.kind == "EN" or tag.kind == "NW":
+        return (k + 1, group)
+    if tag.kind == "SE":
+        return (tag.cell, "R" if group == "B" or group == "R" and not top else "G")
+    return (k - tag.cell + 1, "R" if group == "B" or group == "R" and top else "G")
+
+
+def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, Key, tuple[OperationTag, ...]]]:
     """Depth-first stream of all convex permutominoes of size n, each
-    exactly once, in the deterministic child order, together with the
-    operation path from the single cell.
+    exactly once, in the deterministic child order, with its census key
+    (carried down by :func:`child_label`) and its path from the single cell.
 
     Memory stays bounded by the tree depth times the object size.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
 
-    def walk(p: Permutomino, path: tuple[OperationTag, ...]) -> Iterator[tuple[Permutomino, tuple[OperationTag, ...]]]:
+    def walk(p: Permutomino, key: Key, top: bool, path: tuple[OperationTag, ...]) -> Iterator:
         if p.n == n:
-            yield p, path
+            yield p, key, path
             return
         for tag, child in children(p):
-            yield from walk(child, path + (tag,))
+            # the new column reaches the top after EN, and after WS or NW
+            # exactly when the old one did
+            child_top = tag.kind == "EN" or top and tag.kind != "SE"
+            yield from walk(child, child_label(key, tag, top), child_top, path + (tag,))
 
-    return walk(UNIT, ())
+    return walk(UNIT, (1, "B"), True, ())
 
 
 def iter_permutominoes(n: int) -> Iterator[Permutomino]:
-    """The shapes of :func:`iter_with_paths`, without their paths."""
-    return (p for p, _ in iter_with_paths(n))
+    """The shapes of :func:`iter_with_paths`, without their keys and paths."""
+    return (p for p, _, _ in iter_with_paths(n))

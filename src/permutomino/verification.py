@@ -85,6 +85,7 @@ def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) ->
         seen_children: set[Permutomino] = set()
         for p in level:
             label = classify(p)
+            top = p.touches_top()
             kids = eco.children(p)
             expected = production(*label)
             if len(kids) != len(expected):
@@ -92,6 +93,9 @@ def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) ->
             if sorted(classify(c) for _, c in kids) != sorted(expected):
                 return _fail(name, f"children labels of {label} break the succession rule", p)
             for tag, child in kids:
+                got, carried = classify(child), eco.child_label(label, tag, top)
+                if got != carried:
+                    return _fail(name, f"{tag} child of {label} is {got}, child_label says {carried}", child)
                 if child in seen_children:
                     return _fail(name, f"duplicate child at level {n + 1}", child)
                 seen_children.add(child)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -101,6 +102,50 @@ def test_generate_is_byte_deterministic(capsys):
     _, first = run(capsys, "generate", "--n", "4", "--paths")
     _, second = run(capsys, "generate", "--n", "4", "--paths")
     assert first == second
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_generate_lines_are_the_json_records(capsys, paths):
+    from permutomino.eco import iter_with_paths
+
+    for n in range(1, 8):
+        _, out = run(capsys, "generate", "--n", str(n), *(["--paths"] if paths else []))
+        expected = []
+        for p, _, path in iter_with_paths(n):
+            record = p.to_record()
+            if paths:
+                record["path"] = [str(tag) for tag in path]
+            expected.append(json.dumps(record))
+        assert out.splitlines() == expected, n
+
+
+def test_generate_needs_no_classify_record_or_json(capsys, monkeypatch):
+    from permutomino import cli, grid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate must write the carried label itself")
+
+    monkeypatch.setattr(grid, "classify", refuse)
+    monkeypatch.setattr(grid.Permutomino, "to_record", refuse)
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    code, out = run(capsys, "generate", "--n", "6")
+    assert code == 0
+    assert len(out.splitlines()) == 1836
+
+
+# SHA-256 of the whole `generate --n 8` output; any change to the emission
+# order or the line format changes them
+GOLDEN_N8 = {
+    False: "d1966ff084237e2f4c079e54d50011d68215e5d571d36a3c5c6f08b421893e5c",
+    True: "cd26c5c8eff04ae2e23f125c561bc8b9c890f296052080afe795398e7c46abe2",
+}
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_generate_output_matches_the_golden_digest(capsys, paths):
+    code, out = run(capsys, "generate", "--n", "8", *(["--paths"] if paths else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_N8[paths]
 
 
 def test_render_ascii_from_stdin(capsys, monkeypatch):

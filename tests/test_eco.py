@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from permutomino.census import census, count, production
 from permutomino.eco import (
     OperationTag,
+    child_label,
     children,
     expand,
     iter_permutominoes,
@@ -108,6 +109,40 @@ def test_label_transitions_follow_production(levels):
             assert got == sorted(production(*classify(p)))
 
 
+def test_child_label_examples():
+    assert child_label((1, "B"), OperationTag("EN"), True) == (2, "B")
+    assert child_label((3, "B"), OperationTag("WS", 1), True) == (3, "R")
+    assert child_label((3, "R"), OperationTag("SE", 2), True) == (2, "G")
+    assert child_label((3, "R"), OperationTag("SE", 2), False) == (2, "R")
+    assert child_label((3, "R"), OperationTag("WS", 3), False) == (1, "G")
+    assert child_label((3, "R"), OperationTag("NW"), False) == (4, "R")
+    assert child_label((2, "G"), OperationTag("WS", 2), False) == (1, "G")
+
+
+def test_child_labels_over_the_admissible_tags_are_the_production():
+    # (class, top) for every kind of parent; class R on both sides
+    sides = [("B", True), ("R", True), ("R", False), ("G", False)]
+    mismatches = 0
+    for k in range(1, 31):
+        for group, top in sides:
+            bottom = group == "B" or group == "R" and not top
+            tags = [OperationTag("EN")] if top else []
+            tags += [OperationTag(kind, i) for kind in ("SE", "WS") for i in range(1, k + 1)]
+            tags += [OperationTag("NW")] if bottom else []
+            got = Counter(child_label((k, group), tag, top) for tag in tags)
+            mismatches += got != Counter(production(k, group))
+    assert mismatches == 0
+
+
+def test_walker_carries_the_classified_key():
+    shapes = 0
+    for n in range(1, 9):
+        for p, key, _ in iter_with_paths(n):
+            assert key == classify(p), p
+            shapes += 1
+    assert shapes == sum(count(n) for n in range(1, 9)) == 49437
+
+
 def test_children_are_valid_and_tagged_by_rightmost_corner(levels):
     for n in range(1, 6):
         for p in levels[n]:
@@ -168,7 +203,7 @@ def test_generation_is_deterministic():
 
 
 def test_paths_replay_to_the_same_object():
-    for p, path in iter_with_paths(4):
+    for p, _, path in iter_with_paths(4):
         q = UNIT
         for tag in path:
             q = expand(q, tag)
@@ -201,6 +236,22 @@ def test_eco_partition_fails_when_a_child_breaks_the_succession_rule(levels, mon
     assert not result.ok
     assert result.detail == "children labels of (1, 'B') break the succession rule"
     assert json.loads(result.witness)["cols"] == [[1, 1]]
+
+
+def test_eco_partition_fails_when_child_label_is_off_by_one(levels, monkeypatch):
+    from permutomino import eco, verification
+
+    real = eco.child_label
+
+    def off_by_one(key, tag, top):
+        k, group = real(key, tag, top)
+        return (k + 1, group)
+
+    monkeypatch.setattr(eco, "child_label", off_by_one)
+    result = verification.check_eco_partition(levels, 3)
+    assert not result.ok
+    assert result.detail == "EN child of (1, 'B') is (2, 'B'), child_label says (3, 'B')"
+    assert json.loads(result.witness)["cols"] == [[1, 1], [1, 2]]
 
 
 @settings(max_examples=80, deadline=None)
