@@ -74,17 +74,22 @@ class Permutomino:
     cols: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
+        # one pass; a bad column anywhere outranks an earlier overlap error
         if not self.cols:
             raise ValueError("a polyomino needs at least one column")
+        lo_a, hi_a = self.cols[0]
+        apart = bottom = False
         for lo, hi in self.cols:
             if not (isinstance(lo, int) and isinstance(hi, int)):
                 raise ValueError("column bounds must be integers")
             if not 1 <= lo <= hi:
                 raise ValueError(f"bad column interval ({lo}, {hi})")
-        for (lo_a, hi_a), (lo_b, hi_b) in zip(self.cols, self.cols[1:]):
-            if lo_b > hi_a or hi_b < lo_a:
-                raise ValueError("consecutive columns do not overlap")
-        if min(lo for lo, _ in self.cols) != 1:
+            apart = apart or lo > hi_a or hi < lo_a
+            bottom = bottom or lo == 1
+            lo_a, hi_a = lo, hi
+        if apart:
+            raise ValueError("consecutive columns do not overlap")
+        if not bottom:
             raise ValueError("shape is not normalized to bottom row 1")
 
     @classmethod
@@ -140,7 +145,7 @@ class Permutomino:
         if not isinstance(record, dict) or not isinstance(record.get("cols"), list):
             raise ValueError("record needs a 'cols' list")
         p = cls.from_columns(record["cols"])
-        if "n" in record and record["n"] != p.n:
+        if "n" in record and (type(record["n"]) is not int or record["n"] != p.n):
             raise ValueError("record field 'n' does not match the columns")
         return p
 
@@ -307,15 +312,6 @@ def corner_report(w: "BoundaryWord | str") -> CornerReport:
     return CornerReport(tuple(salient), tuple(reentrant))
 
 
-def _rises_then_falls(values: Sequence[int]) -> bool:
-    falling = False
-    for a, b in zip(values, values[1:]):
-        if b > a and falling:
-            return False
-        falling = falling or b < a
-    return True
-
-
 def is_convex(shape: "Permutomino | Sequence[Interval]") -> bool:
     """True iff every row of the (connected) shape is one contiguous run.
 
@@ -325,28 +321,71 @@ def is_convex(shape: "Permutomino | Sequence[Interval]") -> bool:
     weakly fall then rise.
     """
     cols = _cols_of(shape)
-    return _rises_then_falls([hi for _, hi in cols]) and _rises_then_falls([-lo for lo, _ in cols])
+    top_falling = bottom_rising = False
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(cols, cols[1:]):
+        if hi_b < hi_a:
+            top_falling = True
+        elif hi_b > hi_a and top_falling:
+            return False
+        if lo_b > lo_a:
+            bottom_rising = True
+        elif lo_b < lo_a and bottom_rising:
+            return False
+    return True
 
 
 def _single_sides(cols: tuple[Interval, ...]) -> list[Interval] | None:
     # the one vertical side at each abscissa, or None unless each grid line
-    # carries exactly one side.  Horizontal sides sit at the start ordinates
-    # of the vertical sides that follow them, so one side per horizontal
-    # line means the starts are each ordinate of the box exactly once.
-    single = [top or bottom for top, bottom in _sides(cols) if (top is None) != (bottom is None)]
-    lo_min = min(lo for lo, _ in cols)
-    hi_max = max(hi for _, hi in cols)
-    if len(single) != len(cols) + 1 or sorted(y for y, _ in single) != list(range(lo_min, hi_max + 2)):
+    # carries exactly one side: then the starts, where the horizontal sides
+    # sit, are each ordinate of the box once.  Exits at the first abscissa
+    # with zero or two sides or a repeated start.
+    lo_a, hi_a = cols[0]
+    single = [(lo_a, hi_a + 1)]
+    starts = {lo_a}
+    lo_min, hi_max = lo_a, hi_a
+    rest = iter(cols[1:])
+    for lo_b, hi_b in rest:
+        if lo_b > hi_a or hi_b < lo_a:
+            raise BoundaryError("consecutive columns do not overlap")
+        if hi_a != hi_b:
+            if lo_a != lo_b:
+                return _overlapping(lo_b, hi_b, rest)
+            y = hi_a + 1
+            single.append((y, hi_b + 1))
+            if hi_b > hi_max:
+                hi_max = hi_b
+        elif lo_a != lo_b:
+            y = lo_b
+            single.append((y, lo_a))
+            if y < lo_min:
+                lo_min = y
+        else:
+            return _overlapping(lo_b, hi_b, rest)
+        if y in starts:
+            return _overlapping(lo_b, hi_b, rest)
+        starts.add(y)
+        lo_a, hi_a = lo_b, hi_b
+    if hi_a + 1 in starts or len(single) != hi_max - lo_min + 1:
         return None
+    single.append((hi_a + 1, lo_a))
     return single
+
+
+def _overlapping(lo_a: int, hi_a: int, rest: Iterator[Interval]) -> None:
+    # the rest of a rejected scan, which must still raise on a gap
+    for lo_b, hi_b in rest:
+        if lo_b > hi_a or hi_b < lo_a:
+            raise BoundaryError("consecutive columns do not overlap")
+        lo_a, hi_a = lo_b, hi_b
 
 
 def is_permutomino(shape: "Permutomino | Sequence[Interval]") -> bool:
     """True iff each grid line carries exactly one boundary side.
 
-    Read off the column profiles: exactly one vertical side per abscissa,
-    and the start ordinates of those sides are exactly ``lo_min ..
-    hi_max + 1``.  Columns that do not overlap raise :class:`BoundaryError`.
+    Read off the column profiles in one scan: exactly one vertical side per
+    abscissa, and the start ordinates of those sides are exactly ``lo_min ..
+    hi_max + 1``.  It exits at the first abscissa that fails, but columns
+    that do not overlap anywhere still raise :class:`BoundaryError`.
     """
     return _single_sides(_cols_of(shape)) is not None
 

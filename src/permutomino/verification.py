@@ -90,10 +90,11 @@ def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) ->
             expected = production(*label)
             if len(kids) != len(expected):
                 return _fail(name, f"label {label} produced {len(kids)} children", p)
-            if sorted(classify(c) for _, c in kids) != sorted(expected):
+            labels = [classify(c) for _, c in kids]
+            if sorted(labels) != sorted(expected):
                 return _fail(name, f"children labels of {label} break the succession rule", p)
-            for tag, child in kids:
-                got, carried = classify(child), eco.child_label(label, tag, top)
+            for (tag, child), got in zip(kids, labels):
+                carried = eco.child_label(label, tag, top)
                 if got != carried:
                     return _fail(name, f"{tag} child of {label} is {got}, child_label says {carried}", child)
                 if child in seen_children:

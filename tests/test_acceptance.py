@@ -17,7 +17,7 @@ _BUDGETS = {
     "C3": 1.0,
     "C4": 17.0,
     "C5": 3.5,
-    "C6": 600.0,
+    "C6": 60.0,
 }
 
 

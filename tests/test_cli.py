@@ -181,6 +181,9 @@ def test_render_bad_record_is_an_error(capsys, monkeypatch):
         '{"cols": [[true, true]]}',
         '{"cols": [[1]]}',
         '{"cols": [1]}',
+        # equal to 1 but not an int column count
+        '{"n": true, "cols": [[1, 1]]}',
+        '{"n": 1.0, "cols": [[1, 1]]}',
     ],
 )
 def test_render_malformed_record_is_a_one_line_error(capsys, monkeypatch, record):

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -28,16 +29,21 @@ L_SHAPE = Permutomino.from_columns([(1, 2), (1, 1)])
 
 
 def test_permutomino_construction_rejects_garbage():
-    with pytest.raises(ValueError):
-        Permutomino(())
-    with pytest.raises(ValueError):
-        Permutomino.from_columns([(2, 1)])
-    with pytest.raises(ValueError):
-        Permutomino.from_columns([(0, 1)])
-    with pytest.raises(ValueError):
-        Permutomino.from_columns([(1, 1), (2, 2)])  # no overlap
-    with pytest.raises(ValueError):
-        Permutomino.from_columns([(2, 3), (2, 2)])  # not normalized
+    cases = [
+        ([], "a polyomino needs at least one column"),
+        ([(2, 1)], "bad column interval (2, 1)"),
+        ([(0, 1)], "bad column interval (0, 1)"),
+        ([(1, 1), (2, 2)], "consecutive columns do not overlap"),
+        ([(2, 3), (2, 2)], "shape is not normalized to bottom row 1"),
+        # a bad column after a gap is reported, not the gap before it
+        ([(1, 1), (3, 3), (2, 1)], "bad column interval (2, 1)"),
+    ]
+    for cols, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Permutomino.from_columns(cols)
+    # from_columns refuses floats itself, so this one goes straight in
+    with pytest.raises(ValueError, match="^column bounds must be integers$"):
+        Permutomino(((1, 1), (3, 3), (1.5, 2)))
 
 
 def test_boundary_word_unit_cell():

@@ -115,9 +115,31 @@ def test_reentrant_matrix_matches_the_word_walk():
     assert rejected > 0
 
 
-@pytest.mark.parametrize("cols", [((1, 1), (2, 2)), ((1, 2), (3, 3)), ((2, 2), (1, 1)), ((1, 3), (1, 1), (3, 4))])
+def test_vertex_permutations_reject_what_the_corner_walk_rejects():
+    # convex shapes of every box, permutominoes or not: the early exits of
+    # the one-scan side reader must agree with the corner walk
+    shapes = _convex_shapes_in_5x5()
+    assert len(shapes) == 29816
+    rejected = 0
+    for p in map(Permutomino, shapes):
+        got = _matrix_or_error(vertex_permutations, p)
+        want = _matrix_or_error(ref.vertex_permutations, p)
+        if isinstance(want, str):
+            assert isinstance(got, str), p
+            rejected += 1
+        else:
+            assert got == want, p
+    assert 0 < rejected < len(shapes)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [((1, 1), (2, 2)), ((1, 2), (3, 3)), ((2, 2), (1, 1)), ((1, 3), (1, 1), (3, 4)), ((1, 2), (2, 3), (5, 6))],
+)
 def test_columns_that_do_not_overlap_raise_boundary_error(cols):
-    # corner contact and gaps alike; the edge walk rejects them too
+    # corner contact and gaps alike; the edge walk rejects them too.  The
+    # last shape has two sides at its first junction, where the one-scan
+    # side reader stops deciding, and a gap at its second.
     with pytest.raises(BoundaryError):
         ref.boundary_word(cols)
     with pytest.raises(BoundaryError):

@@ -21,7 +21,7 @@ REMOVED = (
     "expand_ws",
     "Label",
 )
-REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count")
+REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count", "_rises_then_falls")
 ROOT = Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 
