@@ -14,8 +14,6 @@ additions rather than O(n²).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 Key = tuple[int, str]
@@ -45,12 +43,22 @@ def production(k: int, group: str) -> list[Key]:
     raise ValueError(f"unknown label class {group!r}")
 
 
-@dataclass
 class LabelCensus:
     """Exact label multiplicities at one level of the generating tree."""
 
-    level: int
-    counts: dict[Key, int]
+    __slots__ = ("level", "counts")
+
+    def __init__(self, level: int, counts: dict[Key, int]) -> None:
+        self.level = level
+        self.counts = counts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.counts) == (other.level, other.counts)
+
+    def __repr__(self) -> str:
+        return f"LabelCensus(level={self.level!r}, counts={self.counts!r})"
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -129,15 +137,16 @@ def count(n: int) -> int:
 def closed_count(n: int) -> int:
     """Closed form 2(n+3)4^(n-2) - (n/2) C(2n, n) for the size-n count.
 
-    Evaluated in exact rational arithmetic (the power is fractional at
-    n = 1) and asserted integral.
+    Evaluated exactly in integers as one eighth of (n+3)4^n - 4n C(2n, n)
+    (the power is fractional at n = 1, and n/2 at odd n), which is asserted
+    to be divisible by 8.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
-    value = 2 * (n + 3) * Fraction(4) ** (n - 2) - Fraction(n, 2) * comb(2 * n, n)
-    if value.denominator != 1:
+    value, remainder = divmod((n + 3) * 4**n - 4 * n * comb(2 * n, n), 8)
+    if remainder:
         raise ArithmeticError(f"closed form is not integral at n={n}")
-    return int(value)
+    return value
 
 
 def closed_convex_polyominoes(m: int) -> int:

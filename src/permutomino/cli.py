@@ -13,12 +13,18 @@ import contextlib
 import json
 import os
 import sys
-from typing import IO, Callable
 
-from . import eco, oracle, series, verification
-from .census import census as census_level
-from .census import count as census_count
-from .grid import Permutomino, render
+# every other package module is imported by the command that runs it, so a
+# cold ``count`` loads only the census
+from . import census
+
+# for annotations only, so that typing is not imported at run time
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import IO, Callable
+
+    from .eco import OperationTag
+    from .grid import Permutomino
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
@@ -38,14 +44,15 @@ _positive = _at_least(1)
 _nonnegative = _at_least(0)
 
 
-_UNIVARIATE: dict[str, Callable[[int], series.TruncatedSeries]] = {
-    "F1": series.series_f1,
-    "B1": series.series_b1,
-    "R1": series.series_r1,
-    "N1": series.series_n1,
-    "s0": series.kernel_root,
-    "sqrt1m4t": series.sqrt_1m4t,
-    "directed": series.series_directed,
+# the ``series`` function behind each univariate name, looked up when run
+_UNIVARIATE = {
+    "F1": "series_f1",
+    "B1": "series_b1",
+    "R1": "series_r1",
+    "N1": "series_n1",
+    "s0": "kernel_root",
+    "sqrt1m4t": "sqrt_1m4t",
+    "directed": "series_directed",
 }
 _BIVARIATE = ("Bst", "Rst", "Nst", "Fst")
 
@@ -134,14 +141,14 @@ def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
 def _cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     if args.seq:
         for n in range(1, args.n + 1):
-            print(census_count(n), file=out)
+            print(census.count(n), file=out)
     else:
-        print(census_count(args.n), file=out)
+        print(census.count(args.n), file=out)
     return 0
 
 
 def _cmd_census(args: argparse.Namespace, out: IO[str]) -> int:
-    level = census_level(args.n)
+    level = census.census(args.n)
     rows = level.rows()
     if args.format == "tsv":
         for row in rows:
@@ -153,7 +160,7 @@ def _cmd_census(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _record_line(p: Permutomino, key: tuple[int, str], path: tuple[eco.OperationTag, ...] | None) -> str:
+def _record_line(p: Permutomino, key: tuple[int, str], path: tuple[OperationTag, ...] | None) -> str:
     # json.dumps(p.to_record()) plus the path, written out: the walker
     # carries the label, and every value is an int or a plain ASCII word
     cols = ", ".join([f"[{lo}, {hi}]" for lo, hi in p.cols])
@@ -164,12 +171,16 @@ def _record_line(p: Permutomino, key: tuple[int, str], path: tuple[eco.Operation
 
 
 def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
+    from . import eco
+
     for p, key, path in eco.iter_with_paths(args.n):
         out.write(_record_line(p, key, path if args.paths else None))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace, out: IO[str]) -> int:
+    from . import grid
+
     if args.infile:
         with open(args.infile, encoding="utf-8") as handle:
             text = handle.read()
@@ -178,8 +189,8 @@ def _cmd_render(args: argparse.Namespace, out: IO[str]) -> int:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("no JSONL record on input")
-    shape = Permutomino.from_record(json.loads(lines[0]))
-    print(render(shape, args.format), file=out)
+    shape = grid.Permutomino.from_record(json.loads(lines[0]))
+    print(grid.render(shape, args.format), file=out)
     return 0
 
 
@@ -188,8 +199,10 @@ def _format_coeff(c) -> str:
 
 
 def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
+    from . import series
+
     if args.name in _UNIVARIATE:
-        expansion = _UNIVARIATE[args.name](args.order)
+        expansion = getattr(series, _UNIVARIATE[args.name])(args.order)
         for n, c in enumerate(expansion.coeffs):
             print(f"{n}\t{_format_coeff(c)}", file=out)
         return 0
@@ -201,6 +214,8 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
+    from . import oracle
+
     if args.calibrate is not None:
         for m, total in enumerate(oracle.convex_totals_by_semiperimeter(args.calibrate)):
             print(f"{m + 2}\t{total}", file=out)
@@ -215,6 +230,8 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
+    from . import verification
+
     options = verification.VerifyOptions(
         max_n=args.max_n,
         oracle_n=args.oracle_n if args.oracle_n is not None else min(args.max_n, 7),
@@ -260,6 +277,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except RecursionError:
+        # the brute-force oracle recurses once per column, so a large --n
+        # outruns the interpreter's stack before it finds a shape
+        print(f"error: the request nests deeper than the recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

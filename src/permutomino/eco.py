@@ -154,22 +154,38 @@ def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, Key, tuple[OperationT
     exactly once, in the deterministic child order, with its census key
     (carried down by :func:`child_label`) and its path from the single cell.
 
-    Memory stays bounded by the tree depth times the object size.
+    The walk keeps an explicit stack, one list of pending children per
+    level, so any size fits in the interpreter's recursion limit and memory
+    stays bounded by the tree depth times the branching.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
 
-    def walk(p: Permutomino, key: Key, top: bool, path: tuple[OperationTag, ...]) -> Iterator:
-        if p.n == n:
-            yield p, key, path
-            return
-        for tag, child in children(p):
-            # the new column reaches the top after EN, and after WS or NW
-            # exactly when the old one did
-            child_top = tag.kind == "EN" or top and tag.kind != "SE"
-            yield from walk(child, child_label(key, tag, top), child_top, path + (tag,))
+    def walk() -> Iterator:
+        # pending (shape, key, top, path) entries, each level reversed so
+        # that pop() takes the children in emission order
+        stack = [[(UNIT, (1, "B"), True, ())]]
+        while stack:
+            pending = stack[-1]
+            if not pending:
+                stack.pop()
+                continue
+            p, key, top, path = pending.pop()
+            if p.n == n:
+                yield p, key, path
+            elif p.n + 1 == n:
+                # the children are the leaves: stream them without stacking
+                for tag, child in children(p):
+                    yield child, child_label(key, tag, top), path + (tag,)
+            else:
+                # the new column reaches the top after EN, and after WS or
+                # NW exactly when the old one did
+                stack.append([
+                    (child, child_label(key, tag, top), tag.kind == "EN" or top and tag.kind != "SE", path + (tag,))
+                    for tag, child in reversed(children(p))
+                ])
 
-    return walk(UNIT, (1, "B"), True, ())
+    return walk()
 
 
 def iter_permutominoes(n: int) -> Iterator[Permutomino]:

@@ -1,5 +1,7 @@
 import sys
 import threading
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -64,6 +66,27 @@ def test_closed_count_small_values():
 def test_closed_count_matches_census_to_40():
     for n in range(1, 41):
         assert closed_count(n) == count(n)
+
+
+def test_closed_count_matches_the_rational_formula():
+    # the formula as printed, in exact rationals: 4^(n-2) is fractional at
+    # n = 1 and n/2 at odd n, and closed_count must agree in integers
+    for n in range(1, 301):
+        value = 2 * (n + 3) * Fraction(4) ** (n - 2) - Fraction(n, 2) * comb(2 * n, n)
+        assert closed_count(n) == value, n
+        assert type(closed_count(n)) is int
+
+
+def test_label_census_compares_and_prints_by_value():
+    first = LabelCensus(2, {(1, "R"): 2, (2, "B"): 2})
+    assert first == LabelCensus(level=2, counts={(2, "B"): 2, (1, "R"): 2})
+    assert first == census(2)
+    assert first != LabelCensus(3, first.counts)
+    assert first != LabelCensus(2, {(1, "R"): 2})
+    assert first != (2, first.counts)
+    assert repr(first) == "LabelCensus(level=2, counts={(1, 'R'): 2, (2, 'B'): 2})"
+    with pytest.raises(TypeError):
+        hash(first)
 
 
 def test_closed_count_rejects_zero():

@@ -197,6 +197,16 @@ def test_render_malformed_record_is_a_one_line_error(capsys, monkeypatch, record
     assert "Traceback" not in captured.err
 
 
+def test_oracle_too_deep_for_the_stack_is_a_one_line_error(capsys):
+    code = main(["oracle", "--n", str(sys.getrecursionlimit() + 100)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-3, max_value=12) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(["n", "cols", "label"]) | st.text(max_size=3), inner, max_size=4),

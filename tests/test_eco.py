@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +185,44 @@ def test_walkers_reject_bad_size_at_call_time():
         iter_permutominoes(0)
     with pytest.raises(ValueError):
         iter_with_paths(0)
+
+
+def _recursive_walk(n):
+    # one generator per level: the walker's reference order
+    def walk(p, key, top, path):
+        if p.n == n:
+            yield p, key, path
+            return
+        for tag, child in children(p):
+            child_top = tag.kind == "EN" or top and tag.kind != "SE"
+            yield from walk(child, child_label(key, tag, top), child_top, path + (tag,))
+
+    return walk(UNIT, (1, "B"), True, ())
+
+
+def test_walker_streams_in_the_recursive_order():
+    for n in range(1, 8):
+        assert list(iter_with_paths(n)) == list(_recursive_walk(n)), n
+
+
+def test_walker_depth_is_not_bounded_by_the_recursion_limit():
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from permutomino.eco import iter_with_paths\n"
+        "p, key, path = next(iter_with_paths(150))\n"
+        "print(p.n, len(path))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["150", "149"]
 
 
 def test_generation_counts_match_census(levels):

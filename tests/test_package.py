@@ -1,7 +1,11 @@
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import permutomino
 
@@ -32,6 +36,41 @@ def test_census_attribute_is_the_module():
 
     assert census is permutomino.census
     assert callable(census.census)
+
+
+def _fresh_modules(code: str) -> list[str]:
+    # the modules a fresh interpreter holds after running ``code``
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_count_imports_only_the_census():
+    loaded = _fresh_modules("from permutomino.cli import main; main(['count', '--n', '1'])")
+    assert [m for m in loaded if m.startswith("permutomino")] == ["permutomino", "permutomino.census", "permutomino.cli"]
+    assert "dataclasses" not in loaded
+    assert "fractions" not in loaded
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _fresh_modules("import permutomino")
+    assert [m for m in loaded if m.startswith("permutomino")] == ["permutomino"]
+
+
+def test_lazy_exports_behave_like_attributes():
+    assert set(permutomino.__all__) <= set(dir(permutomino))
+    namespace = {}
+    exec("from permutomino import *", namespace)
+    for name in permutomino.__all__:
+        assert namespace[name] is getattr(permutomino, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        permutomino.no_such_name
 
 
 def test_every_exported_name_resolves():
