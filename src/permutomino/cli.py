@@ -222,10 +222,14 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
         return 0
     if args.n is None:
         raise argparse.ArgumentTypeError("--n is required unless --calibrate is given")
-    if args.pairs:
-        print(oracle.count_pair_permutominoes(args.n), file=out)
-    else:
-        print(oracle.count_permutominoes(args.n), file=out)
+    count = oracle.count_pair_permutominoes if args.pairs else oracle.count_permutominoes
+    try:
+        total = count(args.n)
+    except RecursionError:
+        # the brute-force DFS recurses once per column, so a large --n
+        # outruns the interpreter's stack before it finds a shape
+        raise ValueError(f"--n {args.n} nests deeper than the recursion limit ({sys.getrecursionlimit()})") from None
+    print(total, file=out)
     return 0
 
 
@@ -277,11 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except RecursionError:
-        # the brute-force oracle recurses once per column, so a large --n
-        # outruns the interpreter's stack before it finds a shape
-        print(f"error: the request nests deeper than the recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
-        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -154,36 +154,35 @@ def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, Key, tuple[OperationT
     exactly once, in the deterministic child order, with its census key
     (carried down by :func:`child_label`) and its path from the single cell.
 
-    The walk keeps an explicit stack, one list of pending children per
-    level, so any size fits in the interpreter's recursion limit and memory
-    stays bounded by the tree depth times the branching.
+    The walk keeps an explicit stack, one child iterator per level of the
+    current path, so its depth is not bounded by the interpreter's
+    recursion limit.  Memory still grows as about n**3: each level holds
+    the full :func:`children` list of its shape, 2k+2 shapes of k+1
+    columns at degree k on the leftmost path.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
+    if n == 1:
+        return iter([(UNIT, (1, "B"), ())])
 
     def walk() -> Iterator:
-        # pending (shape, key, top, path) entries, each level reversed so
-        # that pop() takes the children in emission order
-        stack = [[(UNIT, (1, "B"), True, ())]]
+        # (children left to take, key, top, path) of each shape on the path
+        stack = [(iter(children(UNIT)), (1, "B"), True, ())]
         while stack:
-            pending = stack[-1]
-            if not pending:
-                stack.pop()
-                continue
-            p, key, top, path = pending.pop()
-            if p.n == n:
-                yield p, key, path
-            elif p.n + 1 == n:
-                # the children are the leaves: stream them without stacking
-                for tag, child in children(p):
-                    yield child, child_label(key, tag, top), path + (tag,)
+            kids, key, top, path = stack[-1]
+            for tag, child in kids:
+                child_key = child_label(key, tag, top)
+                child_path = path + (tag,)
+                if child.n == n:
+                    yield child, child_key, child_path
+                else:
+                    # the new column reaches the top after EN, and after WS
+                    # or NW exactly when the old one did
+                    child_top = tag.kind == "EN" or top and tag.kind != "SE"
+                    stack.append((iter(children(child)), child_key, child_top, child_path))
+                    break
             else:
-                # the new column reaches the top after EN, and after WS or
-                # NW exactly when the old one did
-                stack.append([
-                    (child, child_label(key, tag, top), tag.kind == "EN" or top and tag.kind != "SE", path + (tag,))
-                    for tag, child in reversed(children(p))
-                ])
+                stack.pop()
 
     return walk()
 

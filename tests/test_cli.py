@@ -203,8 +203,22 @@ def test_oracle_too_deep_for_the_stack_is_a_one_line_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "recursion limit" in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_recursion_error_outside_the_oracle_is_not_masked(monkeypatch):
+    # only the oracle's brute force turns a RecursionError into a usage
+    # error; anywhere else it is a bug and must keep its traceback
+    import permutomino.series
+
+    def deep(order):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(permutomino.series, "series_f1", deep)
+    with pytest.raises(RecursionError):
+        main(["series", "F1", "--order", "3"])
 
 
 _JSON = st.recursive(
