@@ -67,45 +67,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="number of convex permutominoes of size n")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--seq", action="store_true", help="print the whole sequence up to n, one count per line")
-    p.add_argument("--out")
 
     p = sub.add_parser("census", help="label census of one generating-tree level")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--format", choices=("tsv", "text"), default="tsv")
-    p.add_argument("--out")
 
     p = sub.add_parser("generate", help="stream all size-n shapes as JSONL")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--paths", action="store_true", help="record the operation path from the root")
-    p.add_argument("--out")
 
     p = sub.add_parser("render", help="draw one JSONL record as ascii or svg")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--in", dest="infile", help="file with one JSONL record (default: stdin)")
-    p.add_argument("--out")
 
     p = sub.add_parser("series", help="coefficients of a generating-function expansion")
     p.add_argument("name", choices=tuple(_UNIVARIATE) + _BIVARIATE)
     p.add_argument("--order", type=_nonnegative, default=12)
-    p.add_argument("--out")
 
     p = sub.add_parser("oracle", help="independent brute-force counts")
-    p.add_argument("--n", type=_positive)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", type=_positive)
     p.add_argument("--pairs", action="store_true", help="count via permutation-pair reconstruction")
-    p.add_argument(
+    mode.add_argument(
         "--calibrate",
         type=_nonnegative,
         metavar="M",
         help="print convex-polyomino totals for semi-perimeters 2..M+2 instead",
     )
-    p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the cross-verification suite")
     p.add_argument("--max-n", type=_positive, default=6, help="generation depth (default 6)")
     p.add_argument("--oracle-n", type=_positive, default=None, help="brute-force depth (default: min(max-n, 7))")
     p.add_argument("--order", type=_positive, default=12, help="functional-equation order")
     p.add_argument("--pair-n", type=_positive, default=3)
-    p.add_argument("--out")
+    for command in sub.choices.values():
+        command.add_argument("--out")
     return parser
 
 
@@ -132,9 +128,8 @@ class _OutFile:
 
 
 def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
-    path = getattr(args, "out", None)
-    if path:
-        return _OutFile(path)
+    if args.out:
+        return _OutFile(args.out)
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -194,22 +189,18 @@ def _cmd_render(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _format_coeff(c) -> str:
-    return str(int(c)) if c.denominator == 1 else str(c)
-
-
 def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
     from . import series
 
     if args.name in _UNIVARIATE:
         expansion = getattr(series, _UNIVARIATE[args.name])(args.order)
         for n, c in enumerate(expansion.coeffs):
-            print(f"{n}\t{_format_coeff(c)}", file=out)
+            print(f"{n}\t{c}", file=out)
         return 0
     b, r, g = series.census_bivariate(args.order)
     chosen = {"Bst": b, "Rst": r, "Nst": g, "Fst": b + r + g}[args.name]
     for n, row in enumerate(chosen.coeffs):
-        print(f"{n}\t{','.join(_format_coeff(c) for c in row.coeffs) or '0'}", file=out)
+        print(f"{n}\t{','.join(map(str, row.coeffs)) or '0'}", file=out)
     return 0
 
 
@@ -220,8 +211,6 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
         for m, total in enumerate(oracle.convex_totals_by_semiperimeter(args.calibrate)):
             print(f"{m + 2}\t{total}", file=out)
         return 0
-    if args.n is None:
-        raise argparse.ArgumentTypeError("--n is required unless --calibrate is given")
     count = oracle.count_pair_permutominoes if args.pairs else oracle.count_permutominoes
     try:
         total = count(args.n)
@@ -236,13 +225,12 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     from . import verification
 
-    options = verification.VerifyOptions(
+    results = verification.run_checks(
         max_n=args.max_n,
         oracle_n=args.oracle_n if args.oracle_n is not None else min(args.max_n, 7),
         order=args.order,
         pair_n=args.pair_n,
     )
-    results = verification.run_checks(options)
     failed = False
     for result in results:
         status = "ok  " if result.ok else "FAIL"
@@ -266,13 +254,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         with _open_out(args) as out:
             return _COMMANDS[args.command](args, out)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
     except BrokenPipeError:
         # the reader closed stdout (``generate | head``): stop quietly, and
         # point fd 1 at devnull so the interpreter's final flush of the

@@ -80,7 +80,7 @@ class Permutomino:
         lo_a, hi_a = self.cols[0]
         apart = bottom = False
         for lo, hi in self.cols:
-            if not (isinstance(lo, int) and isinstance(hi, int)):
+            if type(lo) is not int or type(hi) is not int:
                 raise ValueError("column bounds must be integers")
             if not 1 <= lo <= hi:
                 raise ValueError(f"bad column interval ({lo}, {hi})")
@@ -98,7 +98,7 @@ class Permutomino:
         anything else raise ValueError instead of being converted."""
         pairs = []
         for col in cols:
-            if not isinstance(col, (list, tuple)) or len(col) != 2 or any(type(v) is not int for v in col):
+            if not isinstance(col, (list, tuple)) or len(col) != 2:
                 raise ValueError(f"column {col!r} is not a pair of integers")
             pairs.append((col[0], col[1]))
         return cls(tuple(pairs))

@@ -23,7 +23,6 @@ from .census import (
 from .grid import Permutomino, boundary_word, classify, corner_report, is_valid, reentrant_corners, reentrant_matrix
 
 SEQUENCE = (1, 4, 18, 84, 394, 1836, 8468)
-CONVEX_SEQUENCE = (1, 2, 7, 28, 120, 528, 2344, 10416)
 
 
 @dataclass
@@ -76,7 +75,7 @@ def check_series(max_n: int = 25) -> CheckResult:
     return CheckResult("series", True, f"all four series match the census for n <= {max_n}")
 
 
-def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) -> CheckResult:
+def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int) -> CheckResult:
     name = "eco-partition"
     for n in range(1, max_n + 1):
         level = levels[n]
@@ -110,7 +109,7 @@ def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int = 7) ->
     return CheckResult(name, True, f"partition, validity and round-trips hold for levels 1..{max_n}")
 
 
-def check_corner_identities(levels: dict[int, list[Permutomino]], max_n: int = 7) -> CheckResult:
+def check_corner_identities(levels: dict[int, list[Permutomino]], max_n: int) -> CheckResult:
     name = "corner-identities"
     for n in range(1, max_n + 1):
         for p in levels[n]:
@@ -145,7 +144,7 @@ def check_oracle_calibration(max_m: int = 8) -> CheckResult:
     )
 
 
-def check_oracle_triangulation(max_n: int = 7) -> CheckResult:
+def check_oracle_triangulation(max_n: int) -> CheckResult:
     for n in range(1, max_n + 1):
         got = oracle.count_permutominoes(n)
         want = count(n)
@@ -167,7 +166,7 @@ def check_corollaries(max_n: int = 20) -> CheckResult:
     return CheckResult(name, True, f"stack = 2^(n-1) and B + R/2 = C(2n,n)/2 for n <= {max_n}")
 
 
-def check_functional_equations(order: int = 12) -> CheckResult:
+def check_functional_equations(order: int) -> CheckResult:
     residuals = series.functional_equation_residuals(order)
     for key, residual in residuals.items():
         if not residual.is_zero():
@@ -189,7 +188,7 @@ def check_kernel(order: int = 30) -> CheckResult:
     return CheckResult("kernel-root", True, f"kernel residual vanishes to order {order}, coefficients positive")
 
 
-def check_pair_oracle(max_n: int = 3) -> CheckResult:
+def check_pair_oracle(max_n: int) -> CheckResult:
     for n in range(1, max_n + 1):
         got = oracle.count_pair_permutominoes(n)
         want = count(n)
@@ -198,28 +197,19 @@ def check_pair_oracle(max_n: int = 3) -> CheckResult:
     return CheckResult("pair-oracle", True, f"pair reconstruction == census for n <= {max_n}")
 
 
-@dataclass
-class VerifyOptions:
-    max_n: int = 6
-    oracle_n: int = 6
-    order: int = 12
-    pair_n: int = 3
-
-
-def run_checks(options: VerifyOptions | None = None) -> list[CheckResult]:
+def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> list[CheckResult]:
     """Run the whole triangulation suite with the given bounds."""
-    opt = options or VerifyOptions()
-    levels = materialize_levels(opt.max_n)
+    levels = materialize_levels(max_n)
     return [
         check_sequence(),
         check_closed_form(),
         check_series(),
-        check_eco_partition(levels, opt.max_n),
-        check_corner_identities(levels, opt.max_n),
+        check_eco_partition(levels, max_n),
+        check_corner_identities(levels, max_n),
         check_oracle_calibration(),
-        check_oracle_triangulation(opt.oracle_n),
+        check_oracle_triangulation(oracle_n),
         check_corollaries(),
-        check_functional_equations(opt.order),
+        check_functional_equations(order),
         check_kernel(),
-        check_pair_oracle(opt.pair_n),
+        check_pair_oracle(pair_n),
     ]

@@ -17,7 +17,7 @@ _BUDGETS = {
     "C3": 1.0,
     "C4": 8.0,
     "C5": 3.5,
-    "C6": 60.0,
+    "C6": 10.0,
 }
 
 

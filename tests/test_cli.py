@@ -289,6 +289,29 @@ def test_series_bivariate(capsys):
     assert out.strip().splitlines() == ["0\t0", "1\t0,1", "2\t0,2,2", "3\t0,8,6,4"]
 
 
+# SHA-256 of `series <name> --order 40` (univariate) or `--order 12`
+# (bivariate); F1 and Fst are pinned by value above
+GOLDEN_SERIES = {
+    "B1": "c660fc78cbeb4443b2636d79ca8a495917aa878911a79174706d7733aa0cf5d4",
+    "R1": "62d3a6853093c1202a03b21de6bec88f5d763252d4cb44b1b0c6878a859b6df4",
+    "N1": "e34a179ec1a908fd5df76eb3ccfd7dccd99755d6c49fc61aaae09a9af70fb6e3",
+    "s0": "893fa77904614e77f21b6740bb74672fbd0a43aee9d5252c33d6ee2c0436aa44",
+    "sqrt1m4t": "a1359ee099f1c31e56690235566ad42b9cd4dbaae1b49dcdf0685e4e059be80f",
+    "directed": "461b3fb249030107e87f0d0eb6e78cbee0396c5c3482fa542801b182418a93fd",
+    "Bst": "7f99eac03514589d738f81be6237d0ca6ab91908d4285c5d793d76f91b2a74ed",
+    "Rst": "c955d6e77c48e03e7b039f237ce8076616d326b5115f6ed0cbad39df10fc6407",
+    "Nst": "bf812ea2aa42889a0bf3e6412d098cc16be15c28404fc0b122b24979a8515146",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SERIES))
+def test_series_output_matches_the_golden_digest(capsys, name):
+    order = "12" if name in ("Bst", "Rst", "Nst") else "40"
+    code, out = run(capsys, "series", name, "--order", order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SERIES[name]
+
+
 def test_oracle_count(capsys):
     code, out = run(capsys, "oracle", "--n", "4")
     assert code == 0
@@ -307,10 +330,25 @@ def test_oracle_calibrate(capsys):
     assert out.strip().splitlines() == ["2\t1", "3\t2", "4\t7", "5\t28", "6\t120"]
 
 
-def test_oracle_needs_n_or_calibrate():
+def test_oracle_needs_n_or_calibrate(capsys):
+    for argv in (["oracle"], ["oracle", "--pairs"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "one of the arguments --n --calibrate is required" in capsys.readouterr().err, argv
+
+
+def test_oracle_refuses_both_n_and_calibrate(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["oracle"])
+        main(["oracle", "--n", "3", "--calibrate", "2"])
+    captured = capsys.readouterr()
     assert exc.value.code == 2
+    assert captured.out == ""
+    # argparse's usage line, then one error line
+    assert captured.err.startswith("usage: ")
+    assert captured.err.splitlines()[1:] == [
+        "permutomino oracle: error: argument --calibrate: not allowed with argument --n"
+    ]
 
 
 def test_verify_passes(capsys):
@@ -324,7 +362,7 @@ def test_verify_passes(capsys):
 def test_verify_reports_failures_with_witness(capsys, monkeypatch):
     from permutomino import verification
 
-    def broken(options=None):
+    def broken(**bounds):
         return [
             verification.CheckResult("sequence", True, "fine"),
             verification.CheckResult("eco-partition", False, "boom", witness='{"n": 1}'),

@@ -41,9 +41,12 @@ def test_permutomino_construction_rejects_garbage():
     for cols, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Permutomino.from_columns(cols)
-    # from_columns refuses floats itself, so this one goes straight in
-    with pytest.raises(ValueError, match="^column bounds must be integers$"):
-        Permutomino(((1, 1), (3, 3), (1.5, 2)))
+    # the constructor is the one home of the integer rule, so a bad bound
+    # anywhere outranks an earlier gap, through either entry point
+    for cols in (((1, 1), (3, 3), (1.5, 2)), ((True, True),), ((1, 1), (1, False))):
+        for build in (Permutomino, Permutomino.from_columns):
+            with pytest.raises(ValueError, match="^column bounds must be integers$"):
+                build(cols)
 
 
 def test_boundary_word_unit_cell():
