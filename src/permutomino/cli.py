@@ -204,30 +204,38 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
+def _refuse_above(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} {value} is above the brute-force cap of {cap}")
+
+
 def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
     from . import oracle
 
     if args.calibrate is not None:
+        if args.pairs:
+            raise ValueError("--pairs needs --n")
         for m, total in enumerate(oracle.convex_totals_by_semiperimeter(args.calibrate)):
             print(f"{m + 2}\t{total}", file=out)
         return 0
-    count = oracle.count_pair_permutominoes if args.pairs else oracle.count_permutominoes
-    try:
-        total = count(args.n)
-    except RecursionError:
-        # the brute-force DFS recurses once per column, so a large --n
-        # outruns the interpreter's stack before it finds a shape
-        raise ValueError(f"--n {args.n} nests deeper than the recursion limit ({sys.getrecursionlimit()})") from None
-    print(total, file=out)
+    if args.pairs:
+        _refuse_above("--n", args.n, oracle.MAX_PAIR_N)
+        print(oracle.count_pair_permutominoes(args.n), file=out)
+    else:
+        _refuse_above("--n", args.n, oracle.MAX_N)
+        print(oracle.count_permutominoes(args.n), file=out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
-    from . import verification
+    from . import oracle, verification
 
+    oracle_n = args.oracle_n if args.oracle_n is not None else min(args.max_n, 7)
+    _refuse_above("--oracle-n", oracle_n, oracle.MAX_N)
+    _refuse_above("--pair-n", args.pair_n, oracle.MAX_PAIR_N)
     results = verification.run_checks(
         max_n=args.max_n,
-        oracle_n=args.oracle_n if args.oracle_n is not None else min(args.max_n, 7),
+        oracle_n=oracle_n,
         order=args.order,
         pair_n=args.pair_n,
     )

@@ -17,7 +17,8 @@ _BUDGETS = {
     "C3": 1.0,
     "C4": 8.0,
     "C5": 3.5,
-    "C6": 10.0,
+    "C6": 3.0,
+    "C10": 12.0,
 }
 
 
@@ -99,6 +100,12 @@ def test_c9_pair_oracle():
     t0 = time.perf_counter()
     result = v.check_pair_oracle(3)
     _criterion("C9", "permutation-pair reconstruction == census for n <= 3", result, time.perf_counter() - t0)
+
+
+def test_c10_deep_oracle_triangulation():
+    t0 = time.perf_counter()
+    result = v.check_oracle_triangulation(9)
+    _criterion("C10", "brute force == census for n <= 9", result, time.perf_counter() - t0)
 
 
 def test_criteria_cover_the_sequence_exactly():

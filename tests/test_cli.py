@@ -198,14 +198,51 @@ def test_render_malformed_record_is_a_one_line_error(capsys, monkeypatch, record
 
 
 def test_oracle_too_deep_for_the_stack_is_a_one_line_error(capsys):
-    code = main(["oracle", "--n", str(sys.getrecursionlimit() + 100)])
+    n = sys.getrecursionlimit() + 100
+    code = main(["oracle", "--n", str(n)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "recursion limit" in captured.err
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert captured.err == f"error: --n {n} is above the brute-force cap of 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--n", "11"], "--n 11 is above the brute-force cap of 10"),
+        (["oracle", "--pairs", "--n", "6"], "--n 6 is above the brute-force cap of 5"),
+        (["verify", "--oracle-n", "11"], "--oracle-n 11 is above the brute-force cap of 10"),
+        (["verify", "--pair-n", "6"], "--pair-n 6 is above the brute-force cap of 5"),
+    ],
+    ids=["oracle", "oracle-pairs", "verify-oracle-n", "verify-pair-n"],
+)
+def test_brute_force_above_its_cap_is_refused_before_it_runs(capsys, monkeypatch, argv, message):
+    import permutomino.oracle
+    import permutomino.verification
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the refused request started the brute force")
+
+    for module, name in (
+        (permutomino.oracle, "count_permutominoes"),
+        (permutomino.oracle, "count_pair_permutominoes"),
+        (permutomino.verification, "run_checks"),
+    ):
+        monkeypatch.setattr(module, name, ran)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_defaults_and_benchmark_bounds_are_under_the_caps(monkeypatch):
+    import permutomino.verification
+
+    bounds = []
+    monkeypatch.setattr(permutomino.verification, "run_checks", lambda **kw: bounds.append(kw) or [])
+    for argv in (["verify", "--max-n", "9"], ["verify", "--max-n", "7", "--pair-n", "4"]):
+        assert main(argv) == 0, argv
+    assert [(kw["oracle_n"], kw["pair_n"]) for kw in bounds] == [(7, 3), (7, 4)]
 
 
 def test_recursion_error_outside_the_oracle_is_not_masked(monkeypatch):
@@ -336,6 +373,14 @@ def test_oracle_needs_n_or_calibrate(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "one of the arguments --n --calibrate is required" in capsys.readouterr().err, argv
+
+
+def test_oracle_pairs_with_calibrate_is_a_usage_error(capsys):
+    code = main(["oracle", "--pairs", "--calibrate", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --pairs needs --n\n"
 
 
 def test_oracle_refuses_both_n_and_calibrate(capsys):

@@ -67,13 +67,31 @@ def test_permutomino_counts_match_census():
 
 
 def test_one_side_pruning_matches_filtering_all_convex_shapes():
-    for n in range(1, 6):
+    for n in range(1, 7):
         unpruned = {cols for cols in iter_convex(n, n) if is_permutomino(cols)}
         assert {p.cols for p in iter_permutomino_survivors(n)} == unpruned
 
 
+def test_every_one_side_candidate_is_a_permutomino(monkeypatch):
+    # the step rule enforces both halves of the definition, so the final
+    # filter sees exactly the survivors
+    import permutomino.oracle
+
+    calls = 0
+
+    def counted(cols):
+        nonlocal calls
+        calls += 1
+        return is_permutomino(cols)
+
+    monkeypatch.setattr(permutomino.oracle, "is_permutomino", counted)
+    for n in range(1, 9):
+        calls = 0
+        assert count_permutominoes(n) == calls == count(n), n
+
+
 def test_survivors_match_generator_sets():
-    for n in range(1, 7):
+    for n in range(1, 8):
         brute = {p.cols for p in iter_permutomino_survivors(n)}
         generated = {p.cols for p in iter_permutominoes(n)}
         assert brute == generated
