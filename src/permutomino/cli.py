@@ -134,6 +134,7 @@ def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
 
 
 def _cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
+    _refuse_above("--n", args.n, census.MAX_N, "census")
     if args.seq:
         for n in range(1, args.n + 1):
             print(census.count(n), file=out)
@@ -143,6 +144,7 @@ def _cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_census(args: argparse.Namespace, out: IO[str]) -> int:
+    _refuse_above("--n", args.n, census.MAX_N, "census")
     level = census.census(args.n)
     rows = level.rows()
     if args.format == "tsv":
@@ -204,9 +206,9 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _refuse_above(flag: str, value: int, cap: int) -> None:
+def _refuse_above(flag: str, value: int, cap: int, route: str = "brute-force") -> None:
     if value > cap:
-        raise ValueError(f"{flag} {value} is above the brute-force cap of {cap}")
+        raise ValueError(f"{flag} {value} is above the {route} cap of {cap}")
 
 
 def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:

@@ -1,5 +1,7 @@
+import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -184,8 +186,70 @@ def test_step_does_not_expand_productions(monkeypatch):
 
 
 def test_census_matches_closed_form_to_1000():
-    # a fresh chain rather than count(n): caching 1000 levels holds ~300 MiB
+    # a fresh step() chain, so the check does not rest on the shared cache
     level = census(1)
     for n in range(2, 1001):
         level = level.step()
         assert level.total() == closed_count(n)
+
+
+def test_cache_keeps_totals_and_only_the_last_level(monkeypatch):
+    monkeypatch.setattr(census_module, "_LEVELS", [census_module._ROOT])
+    tracemalloc.start()
+    try:
+        for n in range(1, 301):
+            assert count(n) == closed_count(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every level whole took about 15 MiB here
+    assert peak < 2 * 2**20
+    levels = census_module._LEVELS
+    assert len(levels) == 300
+    assert all(type(total) is int for total in levels[:-1])
+    assert levels[-1] == census(300)
+
+
+def test_evicted_levels_are_recomputed_in_any_order(monkeypatch):
+    monkeypatch.setattr(census_module, "_LEVELS", [census_module._ROOT])
+    count(120)
+    fresh = [census_module._ROOT]
+    while len(fresh) < 120:
+        fresh.append(fresh[-1].step())
+    order = list(range(1, 121))
+    random.Random(20071).shuffle(order)
+    for n in order:
+        level = census(n)
+        assert level.level == n
+        assert level.counts == fresh[n - 1].counts
+        assert level.rows() == fresh[n - 1].rows()
+    assert len(census_module._LEVELS) == 120
+
+
+def test_concurrent_reads_of_evicted_levels_agree(monkeypatch):
+    monkeypatch.setattr(census_module, "_LEVELS", [census_module._ROOT])
+    count(80)
+    errors = []
+
+    def read(first):
+        try:
+            for n in range(first, 80, 7):
+                level = census(n)
+                assert level.level == n
+                assert level.total() == closed_count(n)
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read, args=(first,)) for first in range(1, 8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(census_module._LEVELS) == 80

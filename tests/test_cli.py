@@ -148,6 +148,92 @@ def test_generate_output_matches_the_golden_digest(capsys, paths):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_N8[paths]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--n", "2001"], ["count", "--seq", "--n", "2001"], ["census", "--n", "2001"]],
+    ids=["count", "count-seq", "census"],
+)
+def test_census_route_above_its_cap_is_refused_before_it_runs(capsys, monkeypatch, argv):
+    import permutomino.census
+
+    def ran(n):
+        raise AssertionError("the refused request started the census")
+
+    monkeypatch.setattr(permutomino.census, "count", ran)
+    monkeypatch.setattr(permutomino.census, "census", ran)
+    assert permutomino.census.MAX_N == 2000
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n 2001 is above the census cap of 2000\n"
+
+
+def test_census_route_at_its_cap_runs(capsys):
+    from permutomino.census import closed_count
+
+    # the first command steps the shared cache to the cap; the other two
+    # read the totals and the last level it keeps
+    code, out = run(capsys, "count", "--n", "2000")
+    assert code == 0
+    assert out == f"{closed_count(2000)}\n"
+    code, out = run(capsys, "census", "--n", "2000")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 2 * 2000 - 2
+    assert sum(int(row[3]) for row in rows) == closed_count(2000)
+    code, out = run(capsys, "count", "--seq", "--n", "2000")
+    assert code == 0
+    assert [int(line) for line in out.splitlines()] == [closed_count(n) for n in range(1, 2001)]
+
+
+# a real n = 9 record and the sha256 of its drawings before the render cap
+N9_RECORD = (
+    '{"n": 9, "cols": [[4, 4], [1, 4], [1, 5], [1, 6], [2, 6], [2, 8], [2, 9], [3, 9], [3, 7]], '
+    '"label": {"k": 5, "class": "G"}}'
+)
+N9_DIGESTS = {
+    "ascii": "8669fdf101e10ce9595fa2cd25f7b524f39cd5639f4c0c4d33f54fa6ecb6da6b",
+    "svg": "0ef083b7e9bc3a447159cac69db16d474c25e63817f17e59f44aa8c44e7d5515",
+}
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_render_of_a_real_shape_is_unchanged(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO(N9_RECORD + "\n"))
+    code, out = run(capsys, "render", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == N9_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+@pytest.mark.parametrize(
+    "cols, box",
+    [([[1, 400000]], "1 x 400000"), ([[1, 100001]], "1 x 100001"), ([[1, 317]] * 316, "316 x 317")],
+    ids=["tall", "one-row-over", "wide"],
+)
+def test_render_above_its_cap_is_refused_before_drawing(capsys, monkeypatch, fmt, cols, box):
+    import permutomino.grid
+
+    def drew(p):
+        raise AssertionError("the refused record was drawn")
+
+    monkeypatch.setattr(permutomino.grid, "render_ascii", drew)
+    monkeypatch.setattr(permutomino.grid, "render_svg", drew)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"cols": cols}) + "\n"))
+    assert permutomino.grid.MAX_RENDER_CELLS == 10**5
+    assert main(["render", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: drawing box {box} is above the render cap of 100000 cells\n"
+
+
+def test_render_at_its_cap_draws(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"cols": [[1, 100000]]}\n'))
+    code, out = run(capsys, "render", "--format", "ascii")
+    assert code == 0
+    assert out == "#\n" * 100000
+
+
 def test_render_ascii_from_stdin(capsys, monkeypatch):
     record = '{"n": 2, "cols": [[1, 2], [1, 1]], "label": {"k": 1, "class": "R"}}\n'
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(record))
