@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import islice
 
 # every other package module is imported by the command that runs it, so a
 # cold ``count`` loads only the census
@@ -157,21 +158,42 @@ def _cmd_census(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _record_line(p: Permutomino, key: tuple[int, str], path: tuple[OperationTag, ...] | None) -> str:
+def _record_line(
+    p: Permutomino,
+    key: tuple[int, str],
+    path: tuple[OperationTag, ...] | None,
+    col_text: dict[tuple[int, int], str],
+) -> str:
     # json.dumps(p.to_record()) plus the path, written out: the walker
-    # carries the label, and every value is an int or a plain ASCII word
-    cols = ", ".join([f"[{lo}, {hi}]" for lo, hi in p.cols])
+    # carries the label, every value is an int or a plain ASCII word, and
+    # ``col_text`` keeps each column's text once it is formatted
+    try:
+        cols = ", ".join([col_text[col] for col in p.cols])
+    except KeyError:
+        for lo, hi in p.cols:
+            col_text[lo, hi] = f"[{lo}, {hi}]"
+        cols = ", ".join([col_text[col] for col in p.cols])
     line = f'{{"n": {p.n}, "cols": [{cols}], "label": {{"k": {key[0]}, "class": "{key[1]}"}}'
     if path is not None:
         line += ', "path": [' + ", ".join([f'"{tag}"' for tag in path]) + "]"
     return line + "}\n"
 
 
+# records per write: on an unbuffered stdout (PYTHONUNBUFFERED, ``-u``)
+# each write is a system call and a wake-up of the reader
+_GENERATE_BLOCK = 512
+
+
 def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
     from . import eco
 
-    for p, key, path in eco.iter_with_paths(args.n):
-        out.write(_record_line(p, key, path if args.paths else None))
+    col_text: dict[tuple[int, int], str] = {}
+    lines = (
+        _record_line(p, key, path if args.paths else None, col_text)
+        for p, key, path in eco.iter_with_paths(args.n)
+    )
+    while block := "".join(islice(lines, _GENERATE_BLOCK)):
+        out.write(block)
     return 0
 
 
@@ -195,10 +217,12 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
     from . import series
 
     if args.name in _UNIVARIATE:
+        _refuse_above("--order", args.order, series.MAX_ORDER, "series")
         expansion = getattr(series, _UNIVARIATE[args.name])(args.order)
         for n, c in enumerate(expansion.coeffs):
             print(f"{n}\t{c}", file=out)
         return 0
+    _refuse_above("--order", args.order, series.MAX_BIVARIATE_ORDER, "bivariate series")
     b, r, g = series.census_bivariate(args.order)
     chosen = {"Bst": b, "Rst": r, "Nst": g, "Fst": b + r + g}[args.name]
     for n, row in enumerate(chosen.coeffs):
@@ -230,9 +254,10 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
-    from . import oracle, verification
+    from . import oracle, series, verification
 
     oracle_n = args.oracle_n if args.oracle_n is not None else min(args.max_n, 7)
+    _refuse_above("--order", args.order, series.MAX_BIVARIATE_ORDER, "bivariate series")
     _refuse_above("--oracle-n", oracle_n, oracle.MAX_N)
     _refuse_above("--pair-n", args.pair_n, oracle.MAX_PAIR_N)
     results = verification.run_checks(

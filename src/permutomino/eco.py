@@ -23,7 +23,8 @@ construction a bijection level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from typing import Iterable, Iterator
 
 from .census import Key
 from .grid import REENTRANT_KINDS, Interval, Permutomino, UNIT, reentrant_corners
@@ -44,17 +45,37 @@ class OperationTag:
 def _duplicate_row(cols: tuple[Interval, ...], r: int) -> tuple[Interval, ...]:
     # insert a copy of row r next to itself: rows above shift up, columns
     # through r stretch by one.
-    return tuple(
-        (lo + (lo > r), hi + (hi >= r))
-        for lo, hi in cols
-    )
+    return tuple([(lo + (lo > r), hi + (hi >= r)) for lo, hi in cols])
 
 
 def _remove_row(cols: tuple[Interval, ...], r: int) -> tuple[Interval, ...]:
-    return tuple(
-        (lo - (lo > r), hi - (hi >= r))
-        for lo, hi in cols
-    )
+    return tuple([(lo - (lo > r), hi - (hi >= r)) for lo, hi in cols])
+
+
+def _grown(cols: tuple[Interval, ...], en: bool, rows: Iterable[int], nw: bool) -> list[tuple[Interval, ...]]:
+    # the column formulas of the four expansions, children in emission
+    # order: EN if ``en``, SE on each of ``rows``, WS on each, NW if ``nw``.
+    # SE and WS on one row append their last column to one duplicated prefix.
+    lo, hi = cols[-1]
+    grown = [cols + ((lo, hi + 1),)] if en else []
+    ws = []
+    for r in rows:
+        prefix = _duplicate_row(cols, r)
+        grown.append(prefix + ((lo, r),))
+        ws.append(prefix + ((r + 1, hi + 1),))
+    grown += ws
+    if nw:
+        grown.append(tuple([(c_lo + 1, c_hi + 1) for c_lo, c_hi in cols]) + ((1, hi + 1),))
+    return grown
+
+
+_EN, _NW = OperationTag("EN"), OperationTag("NW")
+
+
+@cache
+def _side_tags(k: int) -> tuple[OperationTag, ...]:
+    # SE:1..k then WS:1..k; tags are frozen, so every child shares them
+    return tuple([OperationTag(kind, i) for kind in ("SE", "WS") for i in range(1, k + 1)])
 
 
 def expand(p: Permutomino, tag: OperationTag) -> Permutomino:
@@ -71,9 +92,8 @@ def expand(p: Permutomino, tag: OperationTag) -> Permutomino:
     if kind == "SE" or kind == "WS":
         if type(i) is not int or not 1 <= i <= hi - lo + 1:
             raise ValueError(f"{kind} needs a cell index in 1..{hi - lo + 1}, got {i!r}")
-        r = lo + i - 1
-        last = (lo, r) if kind == "SE" else (r + 1, hi + 1)
-        return Permutomino(_duplicate_row(p.cols, r) + (last,))
+        se, ws = _grown(p.cols, False, (lo + i - 1,), False)
+        return Permutomino(se if kind == "SE" else ws)
     if kind not in REENTRANT_KINDS:
         raise ValueError(f"unknown operation {kind!r}")
     if i is not None:
@@ -81,25 +101,26 @@ def expand(p: Permutomino, tag: OperationTag) -> Permutomino:
     if kind == "EN":
         if not p.touches_top():
             raise ValueError("EN expansion needs a top-flush rightmost column")
-        return Permutomino(p.cols + ((lo, hi + 1),))
+        return Permutomino(*_grown(p.cols, True, (), False))
     if not p.touches_bottom():
         raise ValueError("NW expansion needs a bottom-flush rightmost column")
-    return Permutomino(tuple((c_lo + 1, c_hi + 1) for c_lo, c_hi in p.cols) + ((1, hi + 1),))
+    return Permutomino(*_grown(p.cols, False, (), True))
 
 
 def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
     """All expansions of a shape, in the fixed emission order
-    EN, SE(1..k), WS(1..k), NW (admissibility filtered by class).
+    EN, SE(1..k), WS(1..k), NW (admissibility filtered by class); each
+    child equals :func:`expand` of its tag.  SE:i and WS:i share one
+    duplicated prefix, built once per cell.
 
     A class-B parent of degree k gets 2k+2 children, class R gets 2k+1 and
     class G gets 2k.
     """
-    k = p.degree
-    tags = [OperationTag("EN")] if p.touches_top() else []
-    tags += [OperationTag(kind, i) for kind in ("SE", "WS") for i in range(1, k + 1)]
-    if p.touches_bottom():
-        tags.append(OperationTag("NW"))
-    return [(tag, expand(p, tag)) for tag in tags]
+    cols = p.cols
+    lo, hi = cols[-1]
+    top, bottom = p.touches_top(), p.touches_bottom()
+    tags = ((_EN,) if top else ()) + _side_tags(hi - lo + 1) + ((_NW,) if bottom else ())
+    return list(zip(tags, map(Permutomino, _grown(cols, top, range(lo, hi + 1), bottom))))
 
 
 def parent(p: Permutomino) -> tuple[Permutomino, OperationTag]:

@@ -21,6 +21,12 @@ from .census import census as _level_census
 
 Scalar = Union[int, Fraction]
 
+# The largest orders the command line expands.  Cold on two cores: the
+# slowest univariate name, ``directed``, 5 s at order 1000 (32 s at 2000);
+# ``Fst`` 2 s and 72 MiB at 400 (7 s and 432 MiB at 800), ``verify --order 400`` 7 s.
+MAX_ORDER = 1000
+MAX_BIVARIATE_ORDER = 400
+
 
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):

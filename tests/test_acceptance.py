@@ -15,7 +15,7 @@ _BUDGETS = {
     "C1": 1.0,
     "C2": 1.0,
     "C3": 1.0,
-    "C4": 8.0,
+    "C4": 4.0,
     "C5": 3.5,
     "C6": 3.0,
     "C10": 12.0,

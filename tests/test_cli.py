@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutomino.cli import main
+from permutomino.cli import _BIVARIATE, _UNIVARIATE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -133,6 +133,29 @@ def test_generate_needs_no_classify_record_or_json(capsys, monkeypatch):
     assert len(out.splitlines()) == 1836
 
 
+class _CountingOut(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_generate_writes_whole_blocks_of_records(monkeypatch, paths):
+    # on an unbuffered stdout every write is a system call, so generate
+    # must not write once per record
+    from permutomino.cli import _GENERATE_BLOCK
+
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["generate", "--n", "7", *(["--paths"] if paths else [])]) == 0
+    assert len(out.getvalue().splitlines()) == 8468
+    assert out.writes == -(-8468 // _GENERATE_BLOCK)
+
+
 # SHA-256 of the whole `generate --n 8` output; any change to the emission
 # order or the line format changes them
 GOLDEN_N8 = {
@@ -146,6 +169,25 @@ def test_generate_output_matches_the_golden_digest(capsys, paths):
     code, out = run(capsys, "generate", "--n", "8", *(["--paths"] if paths else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_N8[paths]
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_record_lines_with_multi_digit_bounds_are_the_json_records(paths):
+    # the golden digests stop at n = 8, where every bound has one digit
+    from itertools import islice
+
+    from permutomino.cli import _record_line
+    from permutomino.eco import iter_with_paths
+
+    col_text = {}
+    wide = 0
+    for p, key, path in islice(iter_with_paths(12), 2000):
+        record = p.to_record()
+        if paths:
+            record["path"] = [str(tag) for tag in path]
+        assert _record_line(p, key, path if paths else None, col_text) == json.dumps(record) + "\n"
+        wide += key[0] >= 10
+    assert wide > 0 and max(hi for _, hi in col_text) >= 10
 
 
 @pytest.mark.parametrize(
@@ -329,6 +371,47 @@ def test_verify_defaults_and_benchmark_bounds_are_under_the_caps(monkeypatch):
     for argv in (["verify", "--max-n", "9"], ["verify", "--max-n", "7", "--pair-n", "4"]):
         assert main(argv) == 0, argv
     assert [(kw["oracle_n"], kw["pair_n"]) for kw in bounds] == [(7, 3), (7, 4)]
+
+
+@pytest.mark.parametrize("name", [*_UNIVARIATE, *_BIVARIATE, "verify"])
+def test_series_order_above_its_cap_is_refused_before_it_runs(capsys, monkeypatch, name):
+    import permutomino.series as series
+    import permutomino.verification
+
+    # every route to an expansion records the order it got and returns a
+    # small real result
+    reached = []
+    for function in [*_UNIVARIATE.values(), "census_bivariate"]:
+        real = getattr(series, function)
+        monkeypatch.setattr(series, function, lambda order, real=real: reached.append(order) or real(2))
+    monkeypatch.setattr(permutomino.verification, "run_checks", lambda **kw: reached.append(kw["order"]) or [])
+    assert (series.MAX_ORDER, series.MAX_BIVARIATE_ORDER) == (1000, 400)
+    if name in _UNIVARIATE:
+        cap, route = series.MAX_ORDER, "series"
+    else:
+        cap, route = series.MAX_BIVARIATE_ORDER, "bivariate series"
+    argv = ["verify"] if name == "verify" else ["series", name]
+
+    assert main(argv + ["--order", str(cap + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --order {cap + 1} is above the {route} cap of {cap}\n"
+    assert reached == []
+
+    # the first call is the route's own; a real(2) may add inner ones
+    assert main(argv + ["--order", str(cap)]) == 0
+    assert reached[:1] == [cap]
+
+
+def test_series_defaults_and_benchmark_orders_are_under_the_caps():
+    from permutomino.cli import _build_parser
+    from permutomino.series import MAX_BIVARIATE_ORDER, MAX_ORDER
+
+    parser = _build_parser()
+    assert parser.parse_args(["series", "F1"]).order <= MAX_BIVARIATE_ORDER
+    assert parser.parse_args(["verify"]).order <= MAX_BIVARIATE_ORDER
+    # the census-deep benchmark runs series F1 --order 300 and Fst --order 60
+    assert 300 <= MAX_ORDER and 60 <= MAX_BIVARIATE_ORDER
 
 
 def test_recursion_error_outside_the_oracle_is_not_masked(monkeypatch):

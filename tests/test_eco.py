@@ -81,6 +81,26 @@ def test_expand_admits_exactly_the_tags_children_emits(levels):
     assert cases == 35237
 
 
+def test_children_are_the_expansions_in_emission_order(levels):
+    # children() builds SE:i and WS:i on one shared prefix; the list must
+    # still be expand() of each tag in the order EN, SE:1..k, WS:1..k, NW,
+    # and parent() (which shares no column formula) must give each tag back
+    shapes = [p for n in range(1, 7) for p in levels[n]]
+    shapes += [child for p in levels[6] for _, child in children(p)]
+    emitted = 0
+    for p in shapes:
+        cells = range(1, p.degree + 1)
+        tags = [OperationTag("EN")] if p.touches_top() else []
+        tags += [OperationTag("SE", i) for i in cells] + [OperationTag("WS", i) for i in cells]
+        tags += [OperationTag("NW")] if p.touches_bottom() else []
+        kids = children(p)
+        assert kids == [(tag, expand(p, tag)) for tag in tags], p
+        for tag, child in kids:
+            assert parent(child) == (p, tag), (p, tag)
+        emitted += len(kids)
+    assert emitted == sum(count(n) for n in range(2, 9)) == 49436
+
+
 def test_unit_cell_children_labels():
     labels = Counter(classify(c) for _, c in children(UNIT))
     assert labels == Counter({(1, "R"): 2, (2, "B"): 2})
