@@ -212,12 +212,11 @@ def closed_stack(n: int) -> int:
 
 
 def closed_directed(n: int) -> int:
-    """Directed-convex permutominoes of size n: half the central binomial."""
+    """Directed-convex permutominoes of size n: half the central binomial,
+    C(2n,n)/2 = C(2n-1,n-1)."""
     if n < 1:
         raise ValueError("size must be >= 1")
-    c = comb(2 * n, n)
-    assert c % 2 == 0
-    return c // 2
+    return comb(2 * n - 1, n - 1)
 
 
 def catalan(n: int) -> int:

@@ -224,9 +224,12 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
         return 0
     _refuse_above("--order", args.order, series.MAX_BIVARIATE_ORDER, "bivariate series")
     b, r, g = series.census_bivariate(args.order)
-    chosen = {"Bst": b, "Rst": r, "Nst": g, "Fst": b + r + g}[args.name]
-    for n, row in enumerate(chosen.coeffs):
-        print(f"{n}\t{','.join(map(str, row.coeffs)) or '0'}", file=out)
+    chosen = {"Bst": (b,), "Rst": (r,), "Nst": (g,), "Fst": (b, r, g)}[args.name]
+    for n, rows in enumerate(zip(*chosen)):
+        row = [sum(column) for column in zip(*rows)]
+        while row and not row[-1]:
+            row.pop()
+        print(f"{n}\t{','.join(map(str, row)) or '0'}", file=out)
     return 0
 
 
@@ -257,6 +260,7 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     from . import oracle, series, verification
 
     oracle_n = args.oracle_n if args.oracle_n is not None else min(args.max_n, 7)
+    _refuse_above("--max-n", args.max_n, verification.MAX_N, "generation")
     _refuse_above("--order", args.order, series.MAX_BIVARIATE_ORDER, "bivariate series")
     _refuse_above("--oracle-n", oracle_n, oracle.MAX_N)
     _refuse_above("--pair-n", args.pair_n, oracle.MAX_PAIR_N)

@@ -1,160 +1,76 @@
-"""Truncated exact power series in t, and in (s, t), over the rationals.
+"""Truncated power series in t with integer coefficients.
 
-Everything is carried with arbitrary-precision rational coefficients even
-though the series of interest all have integer coefficients; intermediate
-divisions then stay total and integrality becomes a checkable fact instead
-of an assumption.  There is one series type, :class:`TruncatedSeries`: a
-univariate series has rational t-coefficients, and a bivariate series is the
-same type whose t-coefficients are exact polynomials in s (:class:`Poly`).
-Ring operations truncate in t only; the s-degree of the bivariate series
-arising here is bounded by the t-degree, so polynomials in s are kept exact.
+Every series of interest has integer coefficients, and every division here
+is by a series with constant term ±1 or by an integer that divides each
+coefficient, so :class:`TruncatedSeries` holds plain ``int``s.  Integrality
+stays a checked fact rather than an assumption: ``inverse`` and ``sqrt``
+refuse a constant term that would leave the integers, and an inexact
+division raises ``ArithmeticError``.  The census truncations of the
+bivariate class series B(s,t), R(s,t), G(s,t) are integer rows, one per
+power of t, with the s-coefficients in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .census import census as _level_census
 
-Scalar = Union[int, Fraction]
-
 # The largest orders the command line expands.  Cold on two cores: the
-# slowest univariate name, ``directed``, 5 s at order 1000 (32 s at 2000);
-# ``Fst`` 2 s and 72 MiB at 400 (7 s and 432 MiB at 800), ``verify --order 400`` 7 s.
+# slowest univariate name, ``directed``, 1.3 s at order 1000; ``Fst``
+# 0.3 s and 31 MiB at 400, ``verify --order 400 --max-n 5`` 0.6 s.
 MAX_ORDER = 1000
 MAX_BIVARIATE_ORDER = 400
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Exact polynomial in s, constant term first, without trailing zeros,
-    so that the zero polynomial is ``Poly()`` and tests false."""
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    @classmethod
-    def of(cls, values: Iterable[Scalar]) -> "Poly":
-        coeffs = [_as_fraction(v) for v in values]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        longer, shorter = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
-        out = list(longer)
-        for i, c in enumerate(shorter):
-            out[i] += c
-        return Poly.of(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if not isinstance(other, Poly):
-            f = _as_fraction(other)
-            return Poly.of(c * f for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, d in enumerate(other.coeffs):
-                if d:
-                    out[i + j] += c * d
-        return Poly.of(out)
-
-    __rmul__ = __mul__
-
-
-Coeff = Union[Fraction, Poly]
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in t truncated at a fixed order (inclusive).
 
-    ``coeffs[k]`` is the coefficient of ``t**k``: an exact rational, or a
-    :class:`Poly` in s for a bivariate series.  Binary operations require
-    both operands to share the same order, so no precision is lost silently.
-    Zero tests go by truthiness and the zero coefficient is taken from the
-    series itself, so the ring operations below serve both kinds; ``inverse``,
-    ``sqrt``, division and ``integer_coeffs`` are for rational coefficients.
+    ``coeffs[k]`` is the integer coefficient of ``t**k``.  Binary operations
+    require both operands to share the same order, so no precision is lost
+    silently.
     """
 
-    coeffs: tuple[Coeff, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
     @classmethod
-    def from_coeffs(cls, values: Iterable[Scalar], order: int) -> "TruncatedSeries":
+    def from_coeffs(cls, values: Iterable[int], order: int) -> "TruncatedSeries":
         """Series from leading coefficients, zero-padded up to ``order``."""
-        coeffs = [_as_fraction(v) for v in values]
-        if len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        coeffs = list(values)[: order + 1]
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"expected an integer coefficient, got {type(c).__name__}")
+        coeffs += [0] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
+    def constant(cls, value: int, order: int) -> "TruncatedSeries":
         return cls.from_coeffs([value], order)
-
-    @classmethod
-    def from_terms(cls, terms: dict[tuple[int, int], Scalar], order: int) -> "TruncatedSeries":
-        """Bivariate series from a sparse {(t_power, s_power): value} map."""
-        rows: list[list[Fraction]] = [[] for _ in range(order + 1)]
-        for (tn, sk), value in terms.items():
-            if tn > order:
-                continue
-            row = rows[tn]
-            while len(row) <= sk:
-                row.append(Fraction(0))
-            row[sk] += _as_fraction(value)
-        return cls(tuple(Poly.of(row) for row in rows))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Coeff:
+    def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
-
-    def _zero(self) -> Coeff:
-        return self.coeffs[0] * 0
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def at_s1(self) -> "TruncatedSeries":
-        """Set s = 1 in a bivariate series, summing each polynomial row."""
-        return TruncatedSeries(tuple(sum(row.coeffs, Fraction(0)) for row in self.coeffs))
-
-    def constant_in_s(self) -> "TruncatedSeries":
-        """A rational series as a bivariate one whose rows are constant in s."""
-        return TruncatedSeries(tuple(Poly.of([c]) for c in self.coeffs))
-
-    def _coerce(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
+    def _coerce(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             if other.order != self.order:
                 raise ValueError("series orders differ")
             return other
         return TruncatedSeries.constant(other, self.order)
 
-    def __add__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
+    def __add__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         rhs = self._coerce(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs)))
 
@@ -163,19 +79,18 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
+    def __sub__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "TruncatedSeries":
+    def __rsub__(self, other: int) -> "TruncatedSeries":
         return self._coerce(other) - self
 
-    def __mul__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
+    def __mul__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            f = _as_fraction(other)
-            return TruncatedSeries(tuple(a * f for a in self.coeffs))
+            return TruncatedSeries.from_coeffs([a * other for a in self.coeffs], self.order)
         rhs = self._coerce(other)
         n = self.order
-        out = [self._zero()] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -188,66 +103,61 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
+        """Multiplicative inverse; requires a constant term of ±1.
 
-        The recurrence runs on integers: with ``self = P/d`` (``P`` integer
-        numerators over the common denominator ``d``) and ``p = P[0]``, the
-        coefficient of t^k is ``d·u_k / p^(k+1)``, where ``u_0 = 1`` and
-        ``u_k = −Σ_{i≥1} P_i·p^(i−1)·u_(k−i)`` over the nonzero ``P_i``.
+        With ``p = self[0]``, so that ``1/p = p``, the coefficient of t^k is
+        ``u_0 = p`` and ``u_k = −p·Σ_{i≥1} self[i]·u_(k−i)`` over the nonzero
+        ``self[i]``.
         """
-        if self.coeffs[0] == 0:
+        p = self.coeffs[0]
+        if p == 0:
             raise ZeroDivisionError("series has no inverse: zero constant term")
-        d, nums = self._integer_numerators()
-        p = nums[0]
-        terms = [(i, c * p ** (i - 1)) for i, c in enumerate(nums) if i and c]
-        u = [1]
+        if p not in (1, -1):
+            raise ArithmeticError(f"inverse needs constant term ±1, got {p}")
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if i and c]
+        u = [p]
         for k in range(1, self.order + 1):
-            u.append(-sum(c * u[k - i] for i, c in terms if i <= k))
-        return TruncatedSeries(tuple(Fraction(d * u_k, p ** (k + 1)) for k, u_k in enumerate(u)))
+            u.append(-p * sum(c * u[k - i] for i, c in terms if i <= k))
+        return TruncatedSeries(tuple(u))
 
-    def __truediv__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
+    def __truediv__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return self * other.inverse()
-        f = _as_fraction(other)
-        return TruncatedSeries(tuple(a / f for a in self.coeffs))
+        quotients = [a // other for a in self.coeffs]
+        if any(q * other != a for q, a in zip(quotients, self.coeffs)):
+            raise ArithmeticError(f"a coefficient is not divisible by {other}")
+        return TruncatedSeries.from_coeffs(quotients, self.order)
 
-    def __rtruediv__(self, other: Scalar) -> "TruncatedSeries":
+    def __rtruediv__(self, other: int) -> "TruncatedSeries":
         return self._coerce(other) * self.inverse()
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1.
 
-        The recurrence runs on integers: with ``self = C/d`` (``C`` integer
-        numerators over the common denominator ``d``), the coefficient of t^k
-        for k ≥ 1 is ``v_k / (2^(2k−1)·d^k)``, where
-        ``v_k = 4^(k−1)·d^(k−1)·C_k − Σ_{0<i<k} v_i·v_(k−i)``.  The sum is
+        The coefficient of t^k for k ≥ 1 is ``v_k = (self[k] − Σ_{0<i<k}
+        v_i·v_(k−i)) / 2``, halved exactly: an odd remainder means the root
+        is not an integer series and raises ``ArithmeticError``.  The sum is
         symmetric in i and k−i, so it is formed as twice the sum over
         ``0 < i < k/2`` plus ``v_(k/2)²`` when k is even.
         """
         if self.coeffs[0] != 1:
             raise ValueError("square root needs constant term 1")
-        d, nums = self._integer_numerators()
         v = [1]
-        root = [Fraction(1)]
         for k in range(1, self.order + 1):
             cross = 2 * sum(v[i] * v[k - i] for i in range(1, (k + 1) // 2))
             if k % 2 == 0:
                 cross += v[k // 2] ** 2
-            v.append(4 ** (k - 1) * d ** (k - 1) * nums[k] - cross)
-            root.append(Fraction(v[k], 2 ** (2 * k - 1) * d**k))
-        return TruncatedSeries(tuple(root))
-
-    def _integer_numerators(self) -> tuple[int, list[int]]:
-        """The common denominator d of the rational coefficients and the
-        integer numerators P with ``self = P/d``."""
-        d = lcm(*(c.denominator for c in self.coeffs))
-        return d, [c.numerator * (d // c.denominator) for c in self.coeffs]
+            half, odd = divmod(self.coeffs[k] - cross, 2)
+            if odd:
+                raise ArithmeticError(f"square root has a non-integer coefficient at t^{k}")
+            v.append(half)
+        return TruncatedSeries(tuple(v))
 
     def shift(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by t^k (the top k coefficients fall off the truncation)."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        zeros = (self._zero(),) * min(k, self.order + 1)
+        zeros = (0,) * min(k, self.order + 1)
         return TruncatedSeries((zeros + self.coeffs)[: self.order + 1])
 
     def divide_by_t(self, k: int = 1) -> "TruncatedSeries":
@@ -256,15 +166,6 @@ class TruncatedSeries:
         if any(self.coeffs[:k]):
             raise ValueError("low-order coefficients are not zero")
         return TruncatedSeries(self.coeffs[k:])
-
-    def integer_coeffs(self) -> list[int]:
-        """Coefficients as integers; raises if any is fractional."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integer coefficient {c}")
-            out.append(int(c))
-        return out
 
 
 def sqrt_1m4t(order: int) -> TruncatedSeries:
@@ -304,7 +205,7 @@ def series_f1(order: int) -> TruncatedSeries:
 def series_directed(order: int) -> TruncatedSeries:
     """(1 - sqrt(1-4t)) / (2 sqrt(1-4t)): half central binomials."""
     s = sqrt_1m4t(order)
-    return (1 - s) / (2 * s)
+    return ((1 - s) / 2) / s
 
 
 def kernel_root(order: int) -> TruncatedSeries:
@@ -325,39 +226,57 @@ def kernel_residual(order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# bivariate series: coefficient of t^n is a polynomial in s
+# bivariate series: row n holds the s-coefficients of t^n
 # ---------------------------------------------------------------------------
 
+Rows = list[list[int]]
 
-def census_bivariate(order: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """Census-derived truncations of the class series B(s,t), R(s,t), G(s,t):
-    the coefficient of s^k t^n is the level-n multiplicity of label (k, class)."""
-    terms: dict[str, dict[tuple[int, int], Scalar]] = {"B": {}, "R": {}, "G": {}}
+
+def census_bivariate(order: int) -> tuple[Rows, Rows, Rows]:
+    """Census-derived truncations of the class series B(s,t), R(s,t), G(s,t)
+    as integer rows: entry ``[n][k]`` is the level-n multiplicity of label
+    (k, class), the coefficient of s^k t^n.  Row n has length n+1, because
+    no level-n label has degree above n."""
+    rows: dict[str, Rows] = {group: [[0] * (n + 1) for n in range(order + 1)] for group in "BRG"}
     for n in range(1, order + 1):
         for (k, group), c in _level_census(n).counts.items():
-            terms[group][(n, k)] = c
-    return tuple(TruncatedSeries.from_terms(terms[g], order) for g in ("B", "R", "G"))  # type: ignore[return-value]
+            rows[group][n][k] = c
+    return rows["B"], rows["R"], rows["G"]
 
 
-def functional_equation_residuals(order: int) -> dict[str, TruncatedSeries]:
+def functional_equation_residuals(order: int) -> dict[str, Rows]:
     """Residuals of the two class functional equations, denominators cleared
     by (1 - s), evaluated on the census truncations:
 
     * ``R``:  R(s,t) ((1-s) + s^2 t) - 2st (B(1,t) - B(s,t)) - st R(1,t)
     * ``G``:  G(s,t) ((1-s) + 2st)  -  st (R(1,t) - R(s,t)) - 2st G(1,t)
 
-    Both must vanish identically through the truncation order.
+    Both must vanish identically through the truncation order.  Row n holds
+    the coefficients of s^k t^n for k = 0..n+1; with ``X1[m] = Σ_k X[m][k]``
+    and out-of-range entries 0, they are
+
+    * ``R[n][k] − R[n][k−1] + R[n−1][k−2] + 2·B[n−1][k−1] − [k=1]·(2·B1[n−1] + R1[n−1])``
+    * ``G[n][k] − G[n][k−1] + 2·G[n−1][k−1] + R[n−1][k−1] − [k=1]·(R1[n−1] + 2·G1[n−1])``
     """
     b, r, g = census_bivariate(order)
-    b1 = b.at_s1().constant_in_s()
-    r1 = r.at_s1().constant_in_s()
-    g1 = g.at_s1().constant_in_s()
-    st = TruncatedSeries.from_terms({(1, 1): 1}, order)
 
-    kernel_r = TruncatedSeries.from_terms({(0, 0): 1, (0, 1): -1, (1, 2): 1}, order)
-    residual_r = r * kernel_r - 2 * (b1 - b) * st - r1 * st
+    def at(rows: Rows, n: int, k: int) -> int:
+        return rows[n][k] if 0 <= n and 0 <= k < len(rows[n]) else 0
 
-    kernel_g = TruncatedSeries.from_terms({(0, 0): 1, (0, 1): -1, (1, 1): 2}, order)
-    residual_g = g * kernel_g - (r1 - r) * st - 2 * g1 * st
-
+    residual_r: Rows = []
+    residual_g: Rows = []
+    for n in range(order + 1):
+        b1, r1, g1 = (sum(rows[n - 1]) if n else 0 for rows in (b, r, g))
+        row_r, row_g = [], []
+        for k in range(n + 2):
+            row_r.append(
+                at(r, n, k) - at(r, n, k - 1) + at(r, n - 1, k - 2) + 2 * at(b, n - 1, k - 1)
+                - (2 * b1 + r1 if k == 1 else 0)
+            )
+            row_g.append(
+                at(g, n, k) - at(g, n, k - 1) + 2 * at(g, n - 1, k - 1) + at(r, n - 1, k - 1)
+                - (r1 + 2 * g1 if k == 1 else 0)
+            )
+        residual_r.append(row_r)
+        residual_g.append(row_g)
     return {"R": residual_r, "G": residual_g}

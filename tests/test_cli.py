@@ -341,8 +341,9 @@ def test_oracle_too_deep_for_the_stack_is_a_one_line_error(capsys):
         (["oracle", "--pairs", "--n", "6"], "--n 6 is above the brute-force cap of 5"),
         (["verify", "--oracle-n", "11"], "--oracle-n 11 is above the brute-force cap of 10"),
         (["verify", "--pair-n", "6"], "--pair-n 6 is above the brute-force cap of 5"),
+        (["verify", "--max-n", "10"], "--max-n 10 is above the generation cap of 9"),
     ],
-    ids=["oracle", "oracle-pairs", "verify-oracle-n", "verify-pair-n"],
+    ids=["oracle", "oracle-pairs", "verify-oracle-n", "verify-pair-n", "verify-max-n"],
 )
 def test_brute_force_above_its_cap_is_refused_before_it_runs(capsys, monkeypatch, argv, message):
     import permutomino.oracle

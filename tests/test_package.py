@@ -24,6 +24,7 @@ REMOVED = (
     "expand_se",
     "expand_ws",
     "Label",
+    "Poly",
 )
 REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count", "_rises_then_falls")
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +59,13 @@ def test_count_imports_only_the_census():
     assert "fractions" not in loaded
 
 
+def test_series_and_verify_run_without_rational_arithmetic():
+    # every series coefficient is an int, so neither command needs fractions
+    for argv in (["series", "F1", "--order", "5"], ["verify", "--max-n", "3", "--pair-n", "2"]):
+        loaded = _fresh_modules(f"from permutomino.cli import main; main({argv!r})")
+        assert "fractions" not in loaded and "decimal" not in loaded, argv
+
+
 def test_bare_import_loads_no_submodule():
     loaded = _fresh_modules("import permutomino")
     assert [m for m in loaded if m.startswith("permutomino")] == ["permutomino"]
@@ -85,6 +93,8 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "census" not in permutomino.__all__
     assert not hasattr(permutomino.Permutomino, "cell_count")
+    for name in ("from_terms", "at_s1", "constant_in_s", "integer_coeffs"):
+        assert not hasattr(permutomino.TruncatedSeries, name), name
 
 
 def test_boundary_geometry_lives_in_the_profile_scan():
