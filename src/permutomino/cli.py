@@ -175,7 +175,8 @@ def _record_line(
         cols = ", ".join([col_text[col] for col in p.cols])
     line = f'{{"n": {p.n}, "cols": [{cols}], "label": {{"k": {key[0]}, "class": "{key[1]}"}}'
     if path is not None:
-        line += ', "path": [' + ", ".join([f'"{tag}"' for tag in path]) + "]"
+        steps = '", "'.join(map(str, path))
+        line += f', "path": ["{steps}"]' if path else ', "path": []'
     return line + "}\n"
 
 

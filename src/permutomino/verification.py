@@ -24,10 +24,9 @@ from .grid import Permutomino, boundary_word, classify, corner_report, is_valid,
 
 SEQUENCE = (1, 4, 18, 84, 394, 1836, 8468)
 
-# The largest ``verify --max-n``: every level up to it is held in memory.
-# Cold on two cores with the oracles at 1, --max-n 8 takes about 11 s and
-# 138 MiB and --max-n 9 54.5 s and 606 MiB; each level costs about 5x the
-# time and 4x the memory.
+# The largest ``verify --max-n``.  Memory stays at about 18 MiB, so time
+# sets it: cold on two cores with the oracles at 1, --max-n 8 takes 7-9 s
+# and --max-n 9 27-32 s, each level about 4x the one before.
 MAX_N = 9
 
 
@@ -45,11 +44,8 @@ def _fail(name: str, detail: str, shape: Permutomino | None = None) -> CheckResu
 
 
 def materialize_levels(max_n: int) -> dict[int, list[Permutomino]]:
-    """Shapes of every size up to ``max_n``, built level by level."""
-    levels: dict[int, list[Permutomino]] = {1: [eco.UNIT]}
-    for n in range(1, max_n):
-        levels[n + 1] = [child for p in levels[n] for _, child in eco.children(p)]
-    return levels
+    """Shapes of every size up to ``max_n``, each level in walk order."""
+    return {n: list(eco.iter_permutominoes(n)) for n in range(1, max_n + 1)}
 
 
 def check_sequence() -> CheckResult:
@@ -81,44 +77,48 @@ def check_series(max_n: int = 25) -> CheckResult:
     return CheckResult("series", True, f"all four series match the census for n <= {max_n}")
 
 
-def check_eco_partition(levels: dict[int, list[Permutomino]], max_n: int) -> CheckResult:
+def check_eco_partition(max_n: int) -> CheckResult:
+    # One depth-first walk that descends only into checked children and keeps
+    # no set of shapes: ``parent`` is a function and one parent's tags are
+    # distinct, so by induction on n the children that pass the round trip
+    # are distinct, and a tally per level equal to the census shows they fill it.
     name = "eco-partition"
-    for n in range(1, max_n + 1):
-        level = levels[n]
-        if len(set(level)) != len(level) or len(level) != count(n):
-            return _fail(name, f"level {n} has {len(level)} shapes, census says {count(n)}")
-        seen_children: set[Permutomino] = set()
-        for p in level:
-            label = classify(p)
-            top = p.touches_top()
-            kids = eco.children(p)
-            expected = production(*label)
-            if len(kids) != len(expected):
-                return _fail(name, f"label {label} produced {len(kids)} children", p)
-            labels = [classify(c) for _, c in kids]
-            if sorted(labels) != sorted(expected):
-                return _fail(name, f"children labels of {label} break the succession rule", p)
-            for (tag, child), got in zip(kids, labels):
-                carried = eco.child_label(label, tag, top)
-                if got != carried:
-                    return _fail(name, f"{tag} child of {label} is {got}, child_label says {carried}", child)
-                if child in seen_children:
-                    return _fail(name, f"duplicate child at level {n + 1}", child)
-                seen_children.add(child)
-                if not is_valid(child):
-                    return _fail(name, "invalid child", child)
-                back, back_tag = eco.parent(child)
-                if back != p or back_tag != tag:
-                    return _fail(name, f"parent round-trip broke for tag {tag}", child)
-        if len(seen_children) != count(n + 1):
-            return _fail(name, f"children of level {n} do not fill level {n + 1}")
+    tally = [1] + [0] * max_n  # shapes of sizes 1..max_n+1
+    stack = [(eco.UNIT, classify(eco.UNIT))] if max_n > 0 else []  # (shape, its checked label)
+    while stack:
+        p, label = stack.pop()
+        top = p.touches_top()
+        kids = eco.children(p)
+        expected = production(*label)
+        if len(kids) != len(expected):
+            return _fail(name, f"label {label} produced {len(kids)} children", p)
+        if len({tag for tag, _ in kids}) != len(kids):
+            return _fail(name, f"children of {label} repeat a tag", p)
+        labels = [classify(c) for _, c in kids]
+        if sorted(labels) != sorted(expected):
+            return _fail(name, f"children labels of {label} break the succession rule", p)
+        for (tag, child), got in zip(kids, labels):
+            carried = eco.child_label(label, tag, top)
+            if got != carried:
+                return _fail(name, f"{tag} child of {label} is {got}, child_label says {carried}", child)
+            if not is_valid(child):
+                return _fail(name, "invalid child", child)
+            back, back_tag = eco.parent(child)
+            if back != p or back_tag != tag:
+                return _fail(name, f"parent round-trip broke for tag {tag}", child)
+        tally[p.n] += len(kids)
+        if p.n < max_n:  # reversed, so that the first child is expanded first
+            stack += reversed([(child, got) for (_, child), got in zip(kids, labels)])
+    for n, got in enumerate(tally, start=1):
+        if got != count(n):
+            return _fail(name, f"level {n} has {got} shapes, census says {count(n)}")
     return CheckResult(name, True, f"partition, validity and round-trips hold for levels 1..{max_n}")
 
 
-def check_corner_identities(levels: dict[int, list[Permutomino]], max_n: int) -> CheckResult:
+def check_corner_identities(max_n: int) -> CheckResult:
     name = "corner-identities"
     for n in range(1, max_n + 1):
-        for p in levels[n]:
+        for p in eco.iter_permutominoes(n):
             bw = boundary_word(p)
             if len(bw) != 4 * n:
                 return _fail(name, f"boundary length {len(bw)} != {4 * n}", p)
@@ -205,13 +205,12 @@ def check_pair_oracle(max_n: int) -> CheckResult:
 
 def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> list[CheckResult]:
     """Run the whole triangulation suite with the given bounds."""
-    levels = materialize_levels(max_n)
     return [
         check_sequence(),
         check_closed_form(),
         check_series(),
-        check_eco_partition(levels, max_n),
-        check_corner_identities(levels, max_n),
+        check_eco_partition(max_n),
+        check_corner_identities(max_n),
         check_oracle_calibration(),
         check_oracle_triangulation(oracle_n),
         check_corollaries(),

@@ -6,8 +6,6 @@ per criterion (the same checks back the ``permutomino verify`` CLI).
 
 import time
 
-import pytest
-
 from permutomino import verification as v
 from permutomino.census import count
 
@@ -54,22 +52,15 @@ def test_c3_series_agreement():
     _criterion("C3", "series coefficients == census for n <= 25", result, time.perf_counter() - t0)
 
 
-@pytest.fixture(scope="module")
-def levels7():
-    return v.materialize_levels(7)
-
-
 def test_c4_eco_partition():
-    # levels rebuilt inside the timed block: the budget covers materialization
     t0 = time.perf_counter()
-    levels = v.materialize_levels(7)
-    result = v.check_eco_partition(levels, 7)
+    result = v.check_eco_partition(7)
     _criterion("C4", "partition/validity/round-trip for levels 1..7", result, time.perf_counter() - t0)
 
 
-def test_c5_corner_identities(levels7):
+def test_c5_corner_identities():
     t0 = time.perf_counter()
-    result = v.check_corner_identities(levels7, 7)
+    result = v.check_corner_identities(7)
     _criterion("C5", "corner identities and reentrant matrices, n <= 7", result, time.perf_counter() - t0)
 
 

@@ -272,18 +272,18 @@ def test_paths_replay_to_the_same_object():
         assert q == p
 
 
-def test_eco_partition_fails_when_a_child_is_missing(levels, monkeypatch):
+def test_eco_partition_fails_when_a_child_is_missing(monkeypatch):
     from permutomino import eco, verification
 
     real = eco.children
     monkeypatch.setattr(eco, "children", lambda p: real(p)[:-1])
-    result = verification.check_eco_partition(levels, 3)
+    result = verification.check_eco_partition(3)
     assert not result.ok
     assert result.detail == "label (1, 'B') produced 3 children"
     assert json.loads(result.witness)["cols"] == [[1, 1]]
 
 
-def test_eco_partition_fails_when_a_child_breaks_the_succession_rule(levels, monkeypatch):
+def test_eco_partition_fails_when_a_child_breaks_the_succession_rule(monkeypatch):
     from permutomino import eco, verification
 
     real = eco.children
@@ -294,13 +294,13 @@ def test_eco_partition_fails_when_a_child_breaks_the_succession_rule(levels, mon
         return [(kids[0][0], L_SHAPE)] + kids[1:] if p == UNIT else kids
 
     monkeypatch.setattr(eco, "children", swapped)
-    result = verification.check_eco_partition(levels, 3)
+    result = verification.check_eco_partition(3)
     assert not result.ok
     assert result.detail == "children labels of (1, 'B') break the succession rule"
     assert json.loads(result.witness)["cols"] == [[1, 1]]
 
 
-def test_eco_partition_fails_when_child_label_is_off_by_one(levels, monkeypatch):
+def test_eco_partition_fails_when_child_label_is_off_by_one(monkeypatch):
     from permutomino import eco, verification
 
     real = eco.child_label
@@ -310,10 +310,75 @@ def test_eco_partition_fails_when_child_label_is_off_by_one(levels, monkeypatch)
         return (k + 1, group)
 
     monkeypatch.setattr(eco, "child_label", off_by_one)
-    result = verification.check_eco_partition(levels, 3)
+    result = verification.check_eco_partition(3)
     assert not result.ok
     assert result.detail == "EN child of (1, 'B') is (2, 'B'), child_label says (3, 'B')"
     assert json.loads(result.witness)["cols"] == [[1, 1], [1, 2]]
+
+
+def test_eco_partition_fails_when_the_census_disagrees_with_a_level(monkeypatch):
+    from permutomino import verification
+
+    real = verification.count
+    monkeypatch.setattr(verification, "count", lambda n: real(n) + (n == 3))
+    result = verification.check_eco_partition(3)
+    assert not result.ok
+    assert result.detail == "level 3 has 18 shapes, census says 19"
+    assert result.witness is None
+
+
+@pytest.mark.parametrize("keep_tag", [True, False], ids=["sibling-tag", "own-tag"])
+def test_eco_partition_fails_when_a_child_comes_twice(monkeypatch, keep_tag):
+    from permutomino import eco, verification
+
+    real = eco.children
+
+    def doubled(p):
+        # the single cell's WS:1 child is replaced by its SE:1 child, which
+        # has the same label (1, R), either under the WS:1 tag or with its own
+        kids = real(p)
+        if p != UNIT:
+            return kids
+        se = kids[1]
+        return kids[:2] + [(kids[2][0], se[1]) if keep_tag else se] + kids[3:]
+
+    monkeypatch.setattr(eco, "children", doubled)
+    result = verification.check_eco_partition(3)
+    assert not result.ok
+    if keep_tag:
+        assert result.detail == "parent round-trip broke for tag WS:1"
+        assert json.loads(result.witness)["cols"] == [[1, 2], [1, 1]]
+    else:
+        assert result.detail == "children of (1, 'B') repeat a tag"
+        assert json.loads(result.witness)["cols"] == [[1, 1]]
+
+
+def test_eco_partition_below_level_one_has_nothing_to_check():
+    from permutomino import verification
+
+    assert verification.check_eco_partition(0).ok
+    assert verification.check_eco_partition(-1).ok
+
+
+def test_levels_in_walk_order_are_the_levels_built_level_by_level(levels):
+    for n in range(1, 6):
+        assert levels[n + 1] == [child for p in levels[n] for _, child in children(p)]
+
+
+def test_verify_keeps_no_level_in_memory():
+    import tracemalloc
+
+    from permutomino import verification
+
+    tracemalloc.start()
+    try:
+        results = verification.run_checks(max_n=6, oracle_n=1, order=1, pair_n=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(result.ok for result in results)
+    # levels 1..6 held whole plus a set of level 7 peak at about 4.7 MiB
+    assert peak < 2**20
 
 
 @settings(max_examples=80, deadline=None)

@@ -249,11 +249,11 @@ def test_raw_columns_in_a_tuple_are_read_without_a_copy():
     assert grid._cols_of([[1, 2], (1, 1)]) == cols
 
 
-def test_corner_identities_fail_when_the_profiles_disagree_with_the_word(levels, monkeypatch):
+def test_corner_identities_fail_when_the_profiles_disagree_with_the_word(monkeypatch):
     from permutomino import verification
 
     monkeypatch.setattr(verification, "reentrant_corners", lambda p: ())
-    result = verification.check_corner_identities(levels, 3)
+    result = verification.check_corner_identities(3)
     assert not result.ok
     assert "disagree on the reentrant corners" in result.detail
     assert json.loads(result.witness)["n"] == 2
