@@ -188,6 +188,7 @@ _GENERATE_BLOCK = 512
 def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
     from . import eco
 
+    _refuse_above("--n", args.n, eco.MAX_N, "generation")
     col_text: dict[tuple[int, int], str] = {}
     lines = (
         _record_line(p, key, path if args.paths else None, col_text)

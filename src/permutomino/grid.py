@@ -26,6 +26,7 @@ its kind off the column profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Interval = tuple[int, int]
@@ -35,7 +36,13 @@ SALIENT_KINDS = ("NE", "ES", "SW", "WN")
 REENTRANT_KINDS = ("EN", "SE", "WS", "NW")
 
 _STEP = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
-_BACKTRACK = {"NS", "SN", "EW", "WE"}
+# each of the 16 step pairs -> (0 salient, 1 reentrant, 2 straight or
+# 3 back-track, then the step of its second letter)
+_PAIRS = {
+    a + b: (0 if a + b in SALIENT_KINDS else 1 if a + b in REENTRANT_KINDS else 2 if a == b else 3, *_STEP[b])
+    for a in _STEP
+    for b in _STEP
+}
 
 
 class BoundaryError(ValueError):
@@ -110,7 +117,7 @@ class Permutomino:
 
     @property
     def height(self) -> int:
-        return max(hi for _, hi in self.cols)
+        return max(map(itemgetter(1), self.cols))
 
     @property
     def degree(self) -> int:
@@ -291,24 +298,26 @@ def corner_report(w: "BoundaryWord | str") -> CornerReport:
         word, start = str(w), (1, 1)
     if not word:
         raise BoundaryError("empty boundary word")
-    if any(letter not in _STEP for letter in word):
+    if not set(word) <= _STEP.keys():
         raise BoundaryError("letters must be among N, E, S, W")
     if word.count("N") != word.count("S") or word.count("E") != word.count("W"):
         raise BoundaryError("word does not describe a closed path")
 
     salient: list[tuple[Point, str]] = []
     reentrant: list[tuple[Point, str]] = []
+    corners = (salient.append, reentrant.append)
     x, y = start
-    for idx in range(len(word)):
-        pair = word[idx - 1] + word[idx]
-        if pair in _BACKTRACK:
+    prev = word[-1]
+    for letter in word:
+        pair = prev + letter
+        kind, dx, dy = _PAIRS[pair]
+        if kind < 2:
+            corners[kind](((x, y), pair))
+        elif kind == 3:
             raise BoundaryError(f"immediate back-track pair {pair}")
-        if pair in SALIENT_KINDS:
-            salient.append(((x, y), pair))
-        elif pair in REENTRANT_KINDS:
-            reentrant.append(((x, y), pair))
-        dx, dy = _STEP[word[idx]]
-        x, y = x + dx, y + dy
+        x += dx
+        y += dy
+        prev = letter
     return CornerReport(tuple(salient), tuple(reentrant))
 
 
@@ -391,8 +400,41 @@ def is_permutomino(shape: "Permutomino | Sequence[Interval]") -> bool:
 
 
 def is_valid(p: Permutomino) -> bool:
-    """Full validity: square bounding box, convex, permutomino property."""
-    return p.height == p.n and is_convex(p) and is_permutomino(p)
+    """Full validity: square bounding box, convex, permutomino property.
+
+    ``p.height == p.n and is_convex(p) and is_permutomino(p)`` in one scan:
+    one end moves at each inner abscissa, tops rise then fall, bottoms fall
+    then rise, and the start ordinates of the vertical sides never repeat,
+    so with bottom row 1 and top row n they are exactly ``1 .. n + 1``.
+    """
+    cols = iter(p.cols)
+    lo_a, hi_a = next(cols)
+    starts = 1 << lo_a
+    hi_max = hi_a
+    top_falling = bottom_rising = False
+    for lo_b, hi_b in cols:
+        if hi_b != hi_a:
+            if lo_b != lo_a:
+                return False
+            if hi_b > hi_a:
+                if top_falling:
+                    return False
+                hi_max = hi_b
+            else:
+                top_falling = True
+            y = hi_a + 1
+        elif lo_b > lo_a:
+            bottom_rising = True
+            y = lo_b
+        elif lo_b < lo_a and not bottom_rising:
+            y = lo_b
+        else:
+            return False
+        if starts >> y & 1:
+            return False
+        starts |= 1 << y
+        lo_a, hi_a = lo_b, hi_b
+    return not starts >> (hi_a + 1) & 1 and hi_max == len(p.cols)
 
 
 def classify(p: Permutomino) -> tuple[int, str]:

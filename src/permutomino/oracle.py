@@ -57,46 +57,52 @@ def iter_convex(rows: int, cols: int, one_side: bool = False) -> Iterator[tuple[
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be >= 1")
 
-    def rec(
-        path: tuple[Interval, ...],
-        used: int,
-        top_falling: bool,
-        bot_rising: bool,
-        seen_bottom: bool,
-        seen_top: bool,
-    ) -> Iterator[tuple[Interval, ...]]:
-        if len(path) == cols:
-            if seen_bottom and seen_top:
-                yield path
-            return
-        if (bot_rising and not seen_bottom) or (top_falling and not seen_top):
-            return
-        prev_lo, prev_hi = path[-1]
-        lo_min = prev_lo if bot_rising else 1
-        hi_max = prev_hi if top_falling else rows
-        if one_side:
-            # ``used`` has bit y set when ordinate y carries a horizontal side;
-            # prev_lo and prev_hi + 1 are set, so each step moves one endpoint
-            steps = [(lo, prev_hi) for lo in range(lo_min, prev_hi + 1) if not used >> lo & 1]
-            steps += [(prev_lo, hi) for hi in range(prev_lo, hi_max + 1) if not used >> (hi + 1) & 1]
-        else:
-            steps = [(lo, hi) for lo in range(lo_min, prev_hi + 1) for hi in range(max(lo, prev_lo), hi_max + 1)]
-        for lo, hi in steps:
-            yield from rec(
-                path + ((lo, hi),),
-                used | 1 << lo | 1 << (hi + 1),
-                top_falling or hi < prev_hi,
-                bot_rising or lo > prev_lo,
-                seen_bottom or lo == 1,
-                seen_top or hi == rows,
-            )
+    def walk() -> Iterator[tuple[Interval, ...]]:
+        # an explicit stack of partial shapes, each with its search state
+        # (used, top_falling, bot_rising, seen_bottom, seen_top), pushed in
+        # reverse so that they pop in order; the last column's shapes are
+        # yielded straight away instead of being pushed
+        stack = [
+            (((lo, hi),), 1 << lo | 1 << (hi + 1), False, False, lo == 1, hi == rows)
+            for lo in range(rows, 0, -1)
+            for hi in range(rows, lo - 1, -1)
+        ]
+        while stack:
+            path, used, top_falling, bot_rising, seen_bottom, seen_top = stack.pop()
+            if len(path) == cols:
+                if seen_bottom and seen_top:
+                    yield path
+                continue
+            if (bot_rising and not seen_bottom) or (top_falling and not seen_top):
+                continue
+            prev_lo, prev_hi = path[-1]
+            lo_min = prev_lo if bot_rising else 1
+            hi_max = prev_hi if top_falling else rows
+            if one_side:
+                # ``used`` has bit y set when ordinate y carries a horizontal side;
+                # prev_lo and prev_hi + 1 are set, so each step moves one endpoint
+                steps = [(lo, prev_hi) for lo in range(lo_min, prev_hi + 1) if not used >> lo & 1]
+                steps += [(prev_lo, hi) for hi in range(prev_lo, hi_max + 1) if not used >> (hi + 1) & 1]
+            else:
+                steps = [(lo, hi) for lo in range(lo_min, prev_hi + 1) for hi in range(max(lo, prev_lo), hi_max + 1)]
+            if len(path) + 1 == cols:
+                for lo, hi in steps:
+                    if (seen_bottom or lo == 1) and (seen_top or hi == rows):
+                        yield path + ((lo, hi),)
+                continue
+            stack += [
+                (
+                    path + ((lo, hi),),
+                    used | 1 << lo | 1 << (hi + 1),
+                    top_falling or hi < prev_hi,
+                    bot_rising or lo > prev_lo,
+                    seen_bottom or lo == 1,
+                    seen_top or hi == rows,
+                )
+                for lo, hi in reversed(steps)
+            ]
 
-    return (
-        shape
-        for lo in range(1, rows + 1)
-        for hi in range(lo, rows + 1)
-        for shape in rec(((lo, hi),), 1 << lo | 1 << (hi + 1), False, False, lo == 1, hi == rows)
-    )
+    return walk()
 
 
 def convex_totals_by_semiperimeter(max_m: int) -> list[int]:

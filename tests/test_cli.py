@@ -404,6 +404,26 @@ def test_series_order_above_its_cap_is_refused_before_it_runs(capsys, monkeypatc
     assert reached[:1] == [cap]
 
 
+def test_generate_above_its_cap_is_refused_before_any_output(capsys, monkeypatch):
+    import permutomino.eco
+
+    assert permutomino.eco.MAX_N == 12
+    walked = []
+    real = permutomino.eco.iter_with_paths
+    monkeypatch.setattr(permutomino.eco, "iter_with_paths", lambda n: walked.append(n) or real(min(n, 2)))
+    assert main(["generate", "--n", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n 13 is above the generation cap of 12\n"
+    assert walked == []
+    # the cap itself and the generate-stream benchmark's n = 9 run; the
+    # stand-in walker writes the 4 shapes of size 2 instead
+    for n in (12, 9):
+        assert main(["generate", "--n", str(n)]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+    assert walked == [12, 9]
+
+
 def test_series_defaults_and_benchmark_orders_are_under_the_caps():
     from permutomino.cli import _build_parser
     from permutomino.series import MAX_BIVARIATE_ORDER, MAX_ORDER

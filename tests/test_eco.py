@@ -191,6 +191,14 @@ def test_parent_examples():
     assert parent(Permutomino.from_columns([(2, 2), (1, 2)])) == (UNIT, OperationTag("NW"))
 
 
+def test_parent_returns_the_tags_children_emit(levels):
+    # the same tag objects, not equal copies
+    for n in range(1, 6):
+        for p in levels[n]:
+            for tag, child in children(p):
+                assert parent(child)[1] is tag
+
+
 def test_parent_of_unit_cell_fails():
     with pytest.raises(ValueError):
         parent(UNIT)
@@ -363,6 +371,18 @@ def test_eco_partition_below_level_one_has_nothing_to_check():
 def test_levels_in_walk_order_are_the_levels_built_level_by_level(levels):
     for n in range(1, 6):
         assert levels[n + 1] == [child for p in levels[n] for _, child in children(p)]
+
+
+def test_corner_identities_expand_each_shape_below_max_n_once(monkeypatch):
+    from permutomino import eco, verification
+
+    expanded = []
+    real = eco.children
+    monkeypatch.setattr(eco, "children", lambda p: expanded.append(p) or real(p))
+    assert verification.check_corner_identities(5).ok
+    # one pre-order walk: each shape of sizes 1..4 once, first child first
+    assert len(expanded) == len(set(expanded)) == sum(count(n) for n in range(1, 5))
+    assert expanded[:3] == [UNIT, children(UNIT)[0][1], children(children(UNIT)[0][1])[0][1]]
 
 
 def test_verify_keeps_no_level_in_memory():

@@ -1,10 +1,14 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from itertools import product
 
 import pytest
 
+from permutomino.eco import children, iter_permutominoes
 from permutomino.grid import (
+    REENTRANT_KINDS,
+    SALIENT_KINDS,
     UNIT,
     BoundaryError,
     DisconnectedPair,
@@ -272,6 +276,90 @@ def test_is_valid(levels):
         assert is_valid(p)
     assert not is_valid(Permutomino.from_columns([(1, 2), (1, 2)]))   # square, no permutomino
     assert not is_valid(Permutomino.from_columns([(1, 2)]))           # box not square
+
+
+def _column_shapes(max_cols: int, max_rows: int):
+    # every connected column-interval shape with bottom row 1, convex or not
+    intervals = [(lo, hi) for lo in range(1, max_rows + 1) for hi in range(lo, max_rows + 1)]
+    shapes = [(col,) for col in intervals]
+    for cols in shapes:
+        if len(cols) < max_cols:
+            lo_a, hi_a = cols[-1]
+            shapes += [cols + ((lo, hi),) for lo, hi in intervals if lo <= hi_a and hi >= lo_a]
+    return [Permutomino(cols) for cols in shapes if min(lo for lo, _ in cols) == 1]
+
+
+def _is_valid_reference(p):
+    return p.height == p.n and is_convex(p) and is_permutomino(p)
+
+
+def test_is_valid_is_square_convex_and_permutomino():
+    # the one-scan is_valid against the three predicates it replaces: the
+    # normalised convex shapes of every box up to 5 x 5, every column-convex
+    # shape up to 4 x 4, and every ECO child up to level 7
+    boxes = [Permutomino(cols) for rows, n in product(range(1, 6), repeat=2) for cols in iter_convex(rows, n)]
+    kids = [child for n in range(1, 7) for p in iter_permutominoes(n) for _, child in children(p)]
+    shapes = boxes + _column_shapes(4, 4) + [UNIT] + kids
+    verdicts = [is_valid(p) for p in shapes]
+    assert verdicts == [_is_valid_reference(p) for p in shapes]
+    assert all(verdicts[-len(kids) :])
+    assert 0 < sum(verdicts[: -len(kids)]) < len(shapes) - len(kids)
+
+
+def _corner_report_reference(word):
+    # each cyclically adjacent pair classified directly, in walk order
+    if not word:
+        raise BoundaryError("empty boundary word")
+    if set(word) - set("NESW"):
+        raise BoundaryError("letters must be among N, E, S, W")
+    if word.count("N") != word.count("S") or word.count("E") != word.count("W"):
+        raise BoundaryError("word does not describe a closed path")
+    steps = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
+    salient, reentrant = [], []
+    x, y = 1, 1
+    for idx, letter in enumerate(word):
+        pair = word[idx - 1] + letter
+        if pair in ("NS", "SN", "EW", "WE"):
+            raise BoundaryError(f"immediate back-track pair {pair}")
+        if pair in SALIENT_KINDS:
+            salient.append(((x, y), pair))
+        elif pair in REENTRANT_KINDS:
+            reentrant.append(((x, y), pair))
+        x, y = x + steps[letter][0], y + steps[letter][1]
+    return tuple(salient), tuple(reentrant)
+
+
+def _outcome(report, word):
+    try:
+        return report(word)
+    except BoundaryError as exc:
+        return str(exc)
+
+
+def test_corner_report_classifies_every_short_word_directly():
+    closed = 0
+    for length in range(0, 9):
+        for letters in product("NESW", repeat=length):
+            word = "".join(letters)
+            want = _outcome(_corner_report_reference, word)
+            got = _outcome(corner_report, word)
+            if not isinstance(got, str):
+                got = (got.salient, got.reentrant)
+                closed += 1
+            assert got == want, word
+    assert closed > 100
+
+
+def test_corner_report_raises_each_error_first_in_its_case():
+    cases = [
+        ("", "empty boundary word"),
+        ("NSNX", "letters must be among N, E, S, W"),  # also open, also back-tracks
+        ("NSN", "word does not describe a closed path"),  # also back-tracks
+        ("ENSW", "immediate back-track pair WE"),  # the closing pair comes before NS
+    ]
+    for word, message in cases:
+        with pytest.raises(BoundaryError, match=f"^{re.escape(message)}$"):
+            corner_report(word)
 
 
 def test_render_ascii():

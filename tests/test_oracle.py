@@ -40,6 +40,46 @@ def test_enumerate_convex_rejects_bad_box():
         iter_convex(0, 3)
 
 
+def _iter_convex_recursive(rows, cols, one_side=False):
+    # the nested-generator DFS that iter_convex replaced, kept to pin its order
+    def rec(path, used, top_falling, bot_rising, seen_bottom, seen_top):
+        if len(path) == cols:
+            if seen_bottom and seen_top:
+                yield path
+            return
+        if (bot_rising and not seen_bottom) or (top_falling and not seen_top):
+            return
+        prev_lo, prev_hi = path[-1]
+        lo_min = prev_lo if bot_rising else 1
+        hi_max = prev_hi if top_falling else rows
+        if one_side:
+            steps = [(lo, prev_hi) for lo in range(lo_min, prev_hi + 1) if not used >> lo & 1]
+            steps += [(prev_lo, hi) for hi in range(prev_lo, hi_max + 1) if not used >> (hi + 1) & 1]
+        else:
+            steps = [(lo, hi) for lo in range(lo_min, prev_hi + 1) for hi in range(max(lo, prev_lo), hi_max + 1)]
+        for lo, hi in steps:
+            yield from rec(
+                path + ((lo, hi),),
+                used | 1 << lo | 1 << (hi + 1),
+                top_falling or hi < prev_hi,
+                bot_rising or lo > prev_lo,
+                seen_bottom or lo == 1,
+                seen_top or hi == rows,
+            )
+
+    for lo in range(1, rows + 1):
+        for hi in range(lo, rows + 1):
+            yield from rec(((lo, hi),), 1 << lo | 1 << (hi + 1), False, False, lo == 1, hi == rows)
+
+
+@pytest.mark.parametrize("one_side", [False, True], ids=["convex", "one-side"])
+def test_enumerate_convex_keeps_the_recursive_order(one_side):
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            want = list(_iter_convex_recursive(rows, cols, one_side))
+            assert list(iter_convex(rows, cols, one_side)) == want, (rows, cols)
+
+
 def test_survivors_reject_bad_size_at_call_time():
     with pytest.raises(ValueError):
         iter_permutomino_survivors(0)
