@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "eco": (
         "OperationTag", "child_label", "children", "expand", "iter_permutominoes", "iter_with_paths",
-        "parent",
+        "parent", "walk",
     ),
     "grid": (
         "UNIT", "BoundaryError", "BoundaryWord", "CornerReport", "DisconnectedPair", "NotColumnConvex",

@@ -202,15 +202,12 @@ def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_render(args: argparse.Namespace, out: IO[str]) -> int:
     from . import grid
 
-    if args.infile:
-        with open(args.infile, encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    # the first non-blank line, read no further than its end
+    with open(args.infile, encoding="utf-8") if args.infile else contextlib.nullcontext(sys.stdin) as source:
+        record = next((part for line in source for part in line.splitlines() if part.strip()), None)
+    if record is None:
         raise ValueError("no JSONL record on input")
-    shape = grid.Permutomino.from_record(json.loads(lines[0]))
+    shape = grid.Permutomino.from_record(json.loads(record))
     print(grid.render(shape, args.format), file=out)
     return 0
 
@@ -246,6 +243,7 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
     if args.calibrate is not None:
         if args.pairs:
             raise ValueError("--pairs needs --n")
+        _refuse_above("--calibrate", args.calibrate, oracle.MAX_CALIBRATE, "calibration")
         for m, total in enumerate(oracle.convex_totals_by_semiperimeter(args.calibrate)):
             print(f"{m + 2}\t{total}", file=out)
         return 0

@@ -17,7 +17,8 @@ the one an :class:`OperationTag` names:
 The inverse map :func:`parent` reads the kind of the rightmost reentrant
 corner off the last two columns with :func:`~permutomino.grid.reentrant_corners`
 and undoes the unique expansion that created it, which is what makes the
-construction a bijection level by level.
+construction a bijection level by level.  :func:`walk` is the one depth-first
+walk of this tree; the shape streams and the checks in ``verification`` read it.
 """
 
 from __future__ import annotations
@@ -180,42 +181,52 @@ def child_label(key: Key, tag: OperationTag, top: bool) -> Key:
     return (k - tag.cell + 1, "R" if group == "B" or group == "R" and top else "G")
 
 
-def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, Key, tuple[OperationTag, ...]]]:
-    """Depth-first stream of all convex permutominoes of size n, each
-    exactly once, in the deterministic child order, with its census key
-    (carried down by :func:`child_label`) and its path from the single cell.
+def _family(key: Key, top: bool, path: tuple, kids: list) -> Iterator[tuple[Permutomino, Key, bool, tuple]]:
+    # each child of a shape with this key, top and path, with its own: the new
+    # column reaches the top after EN, and after WS or NW when the old one did
+    for tag, child in kids:
+        yield child, child_label(key, tag, top), tag.kind == "EN" or top and tag.kind != "SE", path + (tag,)
+
+
+def walk(max_n: int) -> Iterator[tuple[Permutomino, Key, bool, tuple[OperationTag, ...], list]]:
+    """Pre-order walk of the generating tree, first child first: each shape
+    of size 1..max_n once, as ``(p, key, top, path, kids)``.  ``kids`` is
+    ``children(p)``, ``key`` the census key carried by :func:`child_label`,
+    ``top`` whether the rightmost column touches the top and ``path`` the
+    tags from the single cell.  It descends into ``kids`` only when
+    ``p.n < max_n``, and only once the next item is asked for.
 
     The walk keeps an explicit stack, one child iterator per level of the
-    current path, so its depth is not bounded by the interpreter's
-    recursion limit.  Memory still grows as about n**3: each level holds
-    the full :func:`children` list of its shape, 2k+2 shapes of k+1
-    columns at degree k on the leftmost path.
+    current path, so the interpreter's recursion limit does not bound its
+    depth.  Memory still grows as about max_n**3: each level holds its
+    shape's children, 2k+2 shapes of k+1 columns at degree k on the leftmost path.
     """
+    stack = [iter([(UNIT, (1, "B"), True, ())])] if max_n > 0 else []
+    while stack:
+        for p, key, top, path in stack[-1]:
+            kids = children(p)
+            yield p, key, top, path, kids
+            if p.n < max_n:
+                stack.append(_family(key, top, path, kids))
+                break
+        else:
+            stack.pop()
+
+
+def iter_with_paths(n: int) -> Iterator[tuple[Permutomino, Key, tuple[OperationTag, ...]]]:
+    """All convex permutominoes of size n, each once, in walk order, with
+    the census key and path of each: the children of the size n-1 shapes
+    of :func:`walk`."""
     if n < 1:
         raise ValueError("size must be >= 1")
     if n == 1:
         return iter([(UNIT, (1, "B"), ())])
-
-    def walk() -> Iterator:
-        # (children left to take, key, top, path) of each shape on the path
-        stack = [(iter(children(UNIT)), (1, "B"), True, ())]
-        while stack:
-            kids, key, top, path = stack[-1]
-            for tag, child in kids:
-                child_key = child_label(key, tag, top)
-                child_path = path + (tag,)
-                if child.n == n:
-                    yield child, child_key, child_path
-                else:
-                    # the new column reaches the top after EN, and after WS
-                    # or NW exactly when the old one did
-                    child_top = tag.kind == "EN" or top and tag.kind != "SE"
-                    stack.append((iter(children(child)), child_key, child_top, child_path))
-                    break
-            else:
-                stack.pop()
-
-    return walk()
+    return (
+        (child, child_label(key, tag, top), path + (tag,))
+        for p, key, top, path, kids in walk(n - 1)
+        if p.n == n - 1
+        for tag, child in kids
+    )
 
 
 def iter_permutominoes(n: int) -> Iterator[Permutomino]:

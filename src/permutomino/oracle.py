@@ -31,9 +31,11 @@ from .grid import (
 # The largest sizes the command line lets each brute force run.
 # count_permutominoes(10) takes 15-20 s on a 2-core host under Python 3.11
 # and each further size about five times longer; classify_pairs(6) would
-# walk 7!^2 = 25 401 600 pairs.
+# walk 7!^2 = 25 401 600 pairs.  Calibration to semi-perimeter M + 2 does
+# about 4x the work per step of M: M = 12 takes 29-35 s, M = 16 hours.
 MAX_N = 10
 MAX_PAIR_N = 5
+MAX_CALIBRATE = 12
 
 
 def iter_convex(rows: int, cols: int, one_side: bool = False) -> Iterator[tuple[Interval, ...]]:

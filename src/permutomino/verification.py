@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from . import eco, oracle, series
 from .census import (
@@ -78,17 +79,13 @@ def check_series(max_n: int = 25) -> CheckResult:
 
 
 def check_eco_partition(max_n: int) -> CheckResult:
-    # One depth-first walk that descends only into checked children and keeps
-    # no set of shapes: ``parent`` is a function and one parent's tags are
+    # eco.walk descends into a family only after it has passed here, and no
+    # set of shapes is kept: ``parent`` is a function and one parent's tags are
     # distinct, so by induction on n the children that pass the round trip
     # are distinct, and a tally per level equal to the census shows they fill it.
     name = "eco-partition"
     tally = [1] + [0] * max_n  # shapes of sizes 1..max_n+1
-    stack = [(eco.UNIT, classify(eco.UNIT))] if max_n > 0 else []  # (shape, its checked label)
-    while stack:
-        p, label = stack.pop()
-        top = p.touches_top()
-        kids = eco.children(p)
+    for p, label, top, _, kids in eco.walk(max_n):
         expected = production(*label)
         if len(kids) != len(expected):
             return _fail(name, f"label {label} produced {len(kids)} children", p)
@@ -107,8 +104,6 @@ def check_eco_partition(max_n: int) -> CheckResult:
             if back != p or back_tag != tag:
                 return _fail(name, f"parent round-trip broke for tag {tag}", child)
         tally[p.n] += len(kids)
-        if p.n < max_n:  # reversed, so that the first child is expanded first
-            stack += reversed([(child, got) for (_, child), got in zip(kids, labels)])
     for n, got in enumerate(tally, start=1):
         if got != count(n):
             return _fail(name, f"level {n} has {got} shapes, census says {count(n)}")
@@ -116,12 +111,11 @@ def check_eco_partition(max_n: int) -> CheckResult:
 
 
 def check_corner_identities(max_n: int) -> CheckResult:
-    # one pre-order walk over the shapes of sizes 1..max_n: each shape is
-    # checked before its children, and only shapes below max_n are expanded
+    # the single cell, then the children of each shape below max_n in walk
+    # order: every shape of sizes 1..max_n once, none of size max_n expanded
     name = "corner-identities"
-    stack = [eco.UNIT] if max_n > 0 else []
-    while stack:
-        p = stack.pop()
+    below = (child for *_, kids in eco.walk(max_n - 1) for _, child in kids)
+    for p in chain([eco.UNIT] if max_n > 0 else [], below):
         n = p.n
         bw = boundary_word(p)
         if len(bw) != 4 * n:
@@ -139,8 +133,6 @@ def check_corner_identities(max_n: int) -> CheckResult:
             reentrant_matrix(p)
         except ValueError as exc:
             return _fail(name, str(exc), p)
-        if n < max_n:  # reversed, so that the first child is checked first
-            stack += reversed([child for _, child in eco.children(p)])
     return CheckResult(name, True, f"n+3 salient, n-1 reentrant, permutation matrices for n <= {max_n}")
 
 

@@ -293,6 +293,33 @@ def test_render_svg_from_file(capsys, tmp_path):
     assert "</svg>" in out
 
 
+class _OneRecordThenFail:
+    """Standard input whose lines after the first record must not be read."""
+
+    def __iter__(self):
+        yield "\n"
+        yield '{"n": 2, "cols": [[1, 2], [1, 1]], "label": {"k": 1, "class": "R"}}\n'
+        raise AssertionError("render read past the first record")
+
+    def read(self, *size):
+        raise AssertionError("render read the whole input")
+
+
+def test_render_reads_no_further_than_the_first_record(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _OneRecordThenFail())
+    code, out = run(capsys, "render", "--format", "ascii")
+    assert code == 0
+    assert out == "#\n##\n"
+
+
+def test_render_of_blank_input_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n\t\n"))
+    assert main(["render"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no JSONL record on input\n"
+
+
 def test_render_bad_record_is_an_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO("not json\n"))
     code, _ = run(capsys, "render")
@@ -555,6 +582,25 @@ def test_oracle_calibrate(capsys):
     code, out = run(capsys, "oracle", "--calibrate", "4")
     assert code == 0
     assert out.strip().splitlines() == ["2\t1", "3\t2", "4\t7", "5\t28", "6\t120"]
+
+
+def test_oracle_calibrate_above_its_cap_is_refused_before_any_output(capsys, monkeypatch):
+    import permutomino.oracle
+
+    assert permutomino.oracle.MAX_CALIBRATE == 12
+    reached = []
+    real = permutomino.oracle.convex_totals_by_semiperimeter
+    monkeypatch.setattr(permutomino.oracle, "convex_totals_by_semiperimeter", lambda m: reached.append(m) or real(m))
+    assert main(["oracle", "--calibrate", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --calibrate 13 is above the calibration cap of 12\n"
+    assert reached == []
+    # the check's own semi-perimeter bound, 8, and a small one still run
+    for m in (4, 8):
+        assert main(["oracle", "--calibrate", str(m)]) == 0
+        assert capsys.readouterr().out.count("\n") == m + 1
+    assert reached == [4, 8]
 
 
 def test_oracle_needs_n_or_calibrate(capsys):

@@ -18,6 +18,7 @@ from permutomino.eco import (
     iter_permutominoes,
     iter_with_paths,
     parent,
+    walk,
 )
 from permutomino.grid import UNIT, Permutomino, boundary_word, classify, corner_report, is_valid
 
@@ -228,6 +229,54 @@ def _recursive_walk(n):
     return walk(UNIT, (1, "B"), True, ())
 
 
+def _recursive_tree_walk(max_n):
+    # the whole tree up to max_n, each shape before its children: walk's reference
+    def visit(p, key, top, path):
+        kids = children(p)
+        yield p, key, top, path, kids
+        if p.n < max_n:
+            for tag, child in kids:
+                child_top = tag.kind == "EN" or top and tag.kind != "SE"
+                yield from visit(child, child_label(key, tag, top), child_top, path + (tag,))
+
+    return visit(UNIT, (1, "B"), True, ()) if max_n > 0 else iter(())
+
+
+def test_walk_is_the_recursive_pre_order():
+    for max_n in range(1, 7):
+        assert list(walk(max_n)) == list(_recursive_tree_walk(max_n)), max_n
+    assert len(list(walk(6))) == sum(count(n) for n in range(1, 7))
+
+
+def test_walk_yields_each_shape_with_its_children_key_top_and_path():
+    for p, key, top, path, kids in walk(6):
+        assert kids == children(p), p
+        assert key == classify(p), p
+        assert top == p.touches_top(), p
+        q = UNIT
+        for tag in path:
+            q = expand(q, tag)
+        assert q == p
+
+
+def test_walk_below_size_one_yields_nothing():
+    assert list(walk(0)) == []
+    assert list(walk(-1)) == []
+
+
+def test_walk_expands_only_what_its_consumer_asks_for(monkeypatch):
+    import permutomino.eco
+
+    expanded = []
+    real = permutomino.eco.children
+    monkeypatch.setattr(permutomino.eco, "children", lambda p: expanded.append(p) or real(p))
+    shapes = walk(5)
+    assert next(shapes)[0] == UNIT
+    assert expanded == [UNIT]
+    first_child = next(shapes)[0]
+    assert expanded == [UNIT, first_child] == [UNIT, real(UNIT)[0][1]]
+
+
 def test_walker_streams_in_the_recursive_order():
     for n in range(1, 8):
         assert list(iter_with_paths(n)) == list(_recursive_walk(n)), n
@@ -383,6 +432,33 @@ def test_corner_identities_expand_each_shape_below_max_n_once(monkeypatch):
     # one pre-order walk: each shape of sizes 1..4 once, first child first
     assert len(expanded) == len(set(expanded)) == sum(count(n) for n in range(1, 5))
     assert expanded[:3] == [UNIT, children(UNIT)[0][1], children(children(UNIT)[0][1])[0][1]]
+
+
+def test_corner_identities_check_each_shape_up_to_max_n_once(monkeypatch, levels):
+    from permutomino import verification
+
+    seen = []
+    real = verification.boundary_word
+    monkeypatch.setattr(verification, "boundary_word", lambda p: seen.append(p) or real(p))
+    assert verification.check_corner_identities(5).ok
+    assert seen[0] == UNIT
+    assert Counter(seen) == Counter(p for n in range(1, 6) for p in levels[n])
+    assert len(seen) == sum(count(n) for n in range(1, 6))
+
+
+def test_walker_memory_to_the_first_deep_shape():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        p, _, _ = next(iter_with_paths(100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.n == 100
+    # 26.2 MiB with one child iterator per level; a walker that pushes every
+    # pending sibling with its own key, top and path peaks at about 32 MiB
+    assert peak < 28 * 2**20
 
 
 def test_verify_keeps_no_level_in_memory():
