@@ -202,17 +202,28 @@ def check_pair_oracle(max_n: int) -> CheckResult:
 
 
 def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> list[CheckResult]:
-    """Run the whole triangulation suite with the given bounds."""
-    return [
-        check_sequence(),
-        check_closed_form(),
-        check_series(),
-        check_eco_partition(max_n),
-        check_corner_identities(max_n),
-        check_oracle_calibration(),
-        check_oracle_triangulation(oracle_n),
-        check_corollaries(),
-        check_functional_equations(order),
-        check_kernel(),
-        check_pair_oracle(pair_n),
+    """Run the whole triangulation suite with the given bounds.
+
+    A check that raises fails under its own name, with the exception's type
+    and message as its detail, and the checks after it still run.
+    """
+    checks = [
+        ("sequence", check_sequence, ()),
+        ("closed-form", check_closed_form, ()),
+        ("series", check_series, ()),
+        ("eco-partition", check_eco_partition, (max_n,)),
+        ("corner-identities", check_corner_identities, (max_n,)),
+        ("oracle-calibration", check_oracle_calibration, ()),
+        ("oracle-triangulation", check_oracle_triangulation, (oracle_n,)),
+        ("corollaries", check_corollaries, ()),
+        ("functional-equations", check_functional_equations, (order,)),
+        ("kernel-root", check_kernel, ()),
+        ("pair-oracle", check_pair_oracle, (pair_n,)),
     ]
+    results = []
+    for name, check, args in checks:
+        try:
+            results.append(check(*args))
+        except Exception as exc:
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    return results

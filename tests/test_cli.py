@@ -656,6 +656,33 @@ def test_verify_reports_failures_with_witness(capsys, monkeypatch):
     assert 'witness: {"n": 1}' in out
 
 
+def test_verify_reports_a_check_that_raises_and_runs_the_rest(capsys, monkeypatch):
+    import permutomino.oracle
+
+    def planted(pair):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(permutomino.oracle, "from_permutations", planted)
+    code, out = run(capsys, "verify", "--max-n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line[5:27].rstrip() for line in lines] == [
+        "sequence",
+        "closed-form",
+        "series",
+        "eco-partition",
+        "corner-identities",
+        "oracle-calibration",
+        "oracle-triangulation",
+        "corollaries",
+        "functional-equations",
+        "kernel-root",
+        "pair-oracle",
+    ]
+    assert all(line.startswith("ok ") for line in lines[:-1])
+    assert lines[-1] == f"FAIL {'pair-oracle':<22} ValueError: planted"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "c.txt"
     code = main(["count", "--n", "6", "--out", str(target)])

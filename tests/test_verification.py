@@ -96,3 +96,19 @@ def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, defect):
             assert result.witness is None, result
         else:
             assert hit(Permutomino.from_record(json.loads(result.witness))), result
+
+
+def test_a_check_that_raises_fails_under_its_own_name(monkeypatch):
+    # each entry's name is the name its check reports when it does not raise
+    own = [result.name for result in verification.run_checks(max_n=2, oracle_n=1, order=1, pair_n=1)]
+
+    def planted(*args):
+        raise ValueError("planted")
+
+    for name in dir(verification):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verification, name, planted)
+    results = verification.run_checks(max_n=2, oracle_n=1, order=1, pair_n=1)
+    assert [result.name for result in results] == own
+    assert len(own) == len(set(own)) == 11
+    assert all(not result.ok and result.detail == "ValueError: planted" for result in results)
