@@ -8,9 +8,13 @@ Conventions used throughout the package:
 * A shape is stored as one closed interval of rows per column.  That carries
   every column-convex polyomino; row-convexity and the permutomino property
   are separate predicates so that general shapes can flow through the same
-  boundary machinery (the brute-force oracle relies on this).  That
-  machinery reads the boundary off the ``lo``/``hi`` column profiles: one
-  scan gives the vertical sides at every abscissa.
+  boundary machinery (the brute-force oracle relies on this).  Two readers
+  scan the ``lo``/``hi`` column profiles.  ``_sides`` gives the vertical
+  sides at every abscissa: :func:`boundary_word`, :func:`is_permutomino` and
+  :func:`vertex_permutations` read them.  :func:`reentrant_corners` gives
+  the corner kinds at every junction: :func:`is_convex`,
+  :func:`reentrant_matrix` and ``eco.parent`` read them.  :func:`is_valid`,
+  which ``verify`` calls on every shape, keeps a one-pass scan of its own.
 * Boundary words are read clockwise from the leftmost boundary point of
   minimal ordinate, over the alphabet ``N E S W``.  Note that some of the
   literature writes west as ``O`` (ovest); here it is always ``W``.
@@ -19,8 +23,7 @@ Clockwise corner step-pairs ``NE, ES, SW, WN`` are convex ("salient")
 corners; ``EN, SE, WS, NW`` are concave ("reentrant") corners.  Reentrant
 kinds double as the names of the growth operations in :mod:`permutomino.eco`,
 because each operation creates a child whose rightmost reentrant corner has
-exactly that kind; :func:`reentrant_corners` reads every reentrant corner and
-its kind off the column profiles.
+exactly that kind.
 """
 
 from __future__ import annotations
@@ -326,75 +329,34 @@ def is_convex(shape: "Permutomino | Sequence[Interval]") -> bool:
 
     Column-convexity is structural in the representation, so this decides
     full convexity.  For connected columns a row breaks exactly where the
-    profiles dip: the tops must weakly rise then fall, and the bottoms
-    weakly fall then rise.
+    profiles dip: the tops must weakly rise then fall, so no EN corner of
+    :func:`reentrant_corners` comes after an SE, and the bottoms weakly fall
+    then rise, so no NW comes after a WS.  Columns that do not overlap
+    raise :class:`BoundaryError`.
     """
-    cols = _cols_of(shape)
-    top_falling = bottom_rising = False
-    for (lo_a, hi_a), (lo_b, hi_b) in zip(cols, cols[1:]):
-        if hi_b < hi_a:
-            top_falling = True
-        elif hi_b > hi_a and top_falling:
-            return False
-        if lo_b > lo_a:
-            bottom_rising = True
-        elif lo_b < lo_a and bottom_rising:
-            return False
-    return True
+    kinds = [kind for _, kind in reentrant_corners(shape)]
+    pairs = (("SE", "EN"), ("WS", "NW"))
+    return not any(fall in kinds and rise in kinds[kinds.index(fall) :] for fall, rise in pairs)
 
 
 def _single_sides(cols: tuple[Interval, ...]) -> list[Interval] | None:
     # the one vertical side at each abscissa, or None unless each grid line
-    # carries exactly one side: then the starts, where the horizontal sides
-    # sit, are each ordinate of the box once.  Exits at the first abscissa
-    # with zero or two sides or a repeated start.
-    lo_a, hi_a = cols[0]
-    single = [(lo_a, hi_a + 1)]
-    starts = {lo_a}
-    lo_min, hi_max = lo_a, hi_a
-    rest = iter(cols[1:])
-    for lo_b, hi_b in rest:
-        if lo_b > hi_a or hi_b < lo_a:
-            raise BoundaryError("consecutive columns do not overlap")
-        if hi_a != hi_b:
-            if lo_a != lo_b:
-                return _overlapping(lo_b, hi_b, rest)
-            y = hi_a + 1
-            single.append((y, hi_b + 1))
-            if hi_b > hi_max:
-                hi_max = hi_b
-        elif lo_a != lo_b:
-            y = lo_b
-            single.append((y, lo_a))
-            if y < lo_min:
-                lo_min = y
-        else:
-            return _overlapping(lo_b, hi_b, rest)
-        if y in starts:
-            return _overlapping(lo_b, hi_b, rest)
-        starts.add(y)
-        lo_a, hi_a = lo_b, hi_b
-    if hi_a + 1 in starts or len(single) != hi_max - lo_min + 1:
-        return None
-    single.append((hi_a + 1, lo_a))
-    return single
-
-
-def _overlapping(lo_a: int, hi_a: int, rest: Iterator[Interval]) -> None:
-    # the rest of a rejected scan, which must still raise on a gap
-    for lo_b, hi_b in rest:
-        if lo_b > hi_a or hi_b < lo_a:
-            raise BoundaryError("consecutive columns do not overlap")
-        lo_a, hi_a = lo_b, hi_b
+    # carries exactly one side: n + 1 single sides whose starts, where the
+    # horizontal sides sit, are distinct and span n.  lo_min and hi_max + 1
+    # are always starts, so a span of n means the box is n high.
+    single = [top or bottom for top, bottom in _sides(cols) if (top is None) != (bottom is None)]
+    starts = {y for y, _ in single}
+    if len(starts) == len(single) == len(cols) + 1 and max(starts) - min(starts) == len(cols):
+        return single
+    return None
 
 
 def is_permutomino(shape: "Permutomino | Sequence[Interval]") -> bool:
     """True iff each grid line carries exactly one boundary side.
 
-    Read off the column profiles in one scan: exactly one vertical side per
-    abscissa, and the start ordinates of those sides are exactly ``lo_min ..
-    hi_max + 1``.  It exits at the first abscissa that fails, but columns
-    that do not overlap anywhere still raise :class:`BoundaryError`.
+    Read off ``_sides``: exactly one vertical side per abscissa, and the
+    start ordinates of those sides are exactly ``lo_min .. hi_max + 1``.
+    Columns that do not overlap raise :class:`BoundaryError`.
     """
     return _single_sides(_cols_of(shape)) is not None
 

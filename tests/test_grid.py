@@ -132,6 +132,16 @@ def test_is_convex():
     assert not is_convex([(1, 3), (1, 1), (1, 3)])
 
 
+@pytest.mark.parametrize(
+    "cols",
+    [((1, 1), (2, 2)), ((1, 2), (3, 3)), ((2, 2), (1, 1)), ((1, 3), (1, 1), (3, 4)), ((1, 2), (2, 3), (5, 6))],
+)
+def test_is_convex_raises_on_columns_that_do_not_overlap(cols):
+    # it reads reentrant_corners, which rejects them like the other profile readers
+    with pytest.raises(BoundaryError, match="^consecutive columns do not overlap$"):
+        is_convex(cols)
+
+
 def test_is_permutomino():
     assert is_permutomino([(1, 1)])
     assert not is_permutomino([(1, 2), (1, 2)])  # 2x2 square
@@ -287,6 +297,21 @@ def _column_shapes(max_cols: int, max_rows: int):
             lo_a, hi_a = cols[-1]
             shapes += [cols + ((lo, hi),) for lo, hi in intervals if lo <= hi_a and hi >= lo_a]
     return [Permutomino(cols) for cols in shapes if min(lo for lo, _ in cols) == 1]
+
+
+def test_vertex_permutations_round_trip_on_every_small_shape():
+    # convex or not: the shape is a permutomino iff its vertex permutations
+    # exist, and then they rebuild it
+    round_trips = nonconvex = 0
+    for p in _column_shapes(4, 4):
+        if not is_permutomino(p):
+            with pytest.raises(ValueError, match="^vertex set is not a permutation matrix$"):
+                vertex_permutations(p)
+            continue
+        assert from_permutations(vertex_permutations(p)) == p, p
+        round_trips += 1
+        nonconvex += not is_convex(p)
+    assert (round_trips, nonconvex) == (179, 72)
 
 
 def _is_valid_reference(p):

@@ -26,7 +26,7 @@ REMOVED = (
     "Label",
     "Poly",
 )
-REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count", "_rises_then_falls")
+REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count", "_rises_then_falls", "_overlapping")
 ROOT = Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 
