@@ -32,10 +32,14 @@ def _swap_en_se(real):
     return swapped
 
 
-def _reject_size(n, cols_of=lambda shape: shape):
-    # False for the shapes of n columns whose first column is (1, 1)
+def _reject_size(n):
+    # False for the shapes, or raw columns, of n columns whose first is (1, 1)
     def planted(real):
-        return lambda shape: real(shape) and not (len(cols_of(shape)) == n and cols_of(shape)[0] == (1, 1))
+        def rejecting(shape):
+            cols = getattr(shape, "cols", shape)
+            return real(shape) and not (len(cols) == n and cols[0] == (1, 1))
+
+        return rejecting
 
     return planted
 
@@ -63,19 +67,14 @@ def _rotate_some(real):
     return rotated
 
 
-# (module, name, planted defect, failing checks, whether the witness is hit)
+# (module, name, planted defect, failing checks, a test the witness shape
+# passes, or None where no single shape is to blame)
 DEFECTS = {
     "drop-a-reentrant-corner": (verification, "reentrant_corners", _drop_first_corner, {"corner-identities"}, lambda p: p.n >= 2),
     "parent-swaps-en-and-se": (eco, "reentrant_corners", _swap_en_se, {"eco-partition"}, lambda p: p.cols[-2] == (1, 1)),
     "oracle-rejects-size-5": (oracle, "is_permutomino", _reject_size(5), {"oracle-triangulation"}, None),
-    "oracle-not-convex-at-size-3": (oracle, "is_convex", _reject_size(3, lambda p: p.cols), {"pair-oracle"}, None),
-    "invalid-at-size-5": (
-        verification,
-        "is_valid",
-        _reject_size(5, lambda p: p.cols),
-        {"eco-partition"},
-        lambda p: p.n == 5 and p.cols[0] == (1, 1),
-    ),
+    "oracle-not-convex-at-size-3": (oracle, "is_convex", _reject_size(3), {"pair-oracle"}, None),
+    "invalid-at-size-5": (verification, "is_valid", _reject_size(5), {"eco-partition"}, lambda p: p.n == 5 and p.cols[0] == (1, 1)),
     "reentrant-matrix-raises-at-size-4": (verification, "reentrant_matrix", _raise_at_size(4), {"corner-identities"}, lambda p: p.n == 4),
     "rotated-boundary-word": (verification, "boundary_word", _rotate_some, {"corner-identities"}, lambda p: p.cols[-1] == (1, 1)),
 }
