@@ -9,8 +9,9 @@ import json
 
 import pytest
 
-from permutomino import eco, oracle, verification
+from permutomino import census, eco, oracle, series, verification
 from permutomino.grid import BoundaryWord, Permutomino
+from permutomino.series import TruncatedSeries
 
 BOUNDS = dict(max_n=5, oracle_n=5, order=4, pair_n=3)
 
@@ -67,6 +68,44 @@ def _rotate_some(real):
     return rotated
 
 
+def _plus_one_at(x):
+    def planted(real):
+        return lambda n: real(n) + (n == x)
+
+    return planted
+
+
+def _bump_last_coefficient(real):
+    def bumped(order):
+        coeffs = real(order).coeffs
+        return TruncatedSeries(coeffs[:-1] + (coeffs[-1] + 1,))
+
+    return bumped
+
+
+def _bump_an_r_entry(real):
+    def bumped(order):
+        b, r, g = real(order)
+        r[-1][1] += 1
+        return b, r, g
+
+    return bumped
+
+
+def _one_r_as_g(real):
+    return lambda k, group: [(1, "G") if key == (1, "R") else key for key in real(k, group)]
+
+
+def _bump_level_5(real):
+    def step(self):
+        nxt = real(self)
+        if nxt.level == 5:
+            nxt.counts[(1, "R")] += 1
+        return nxt
+
+    return step
+
+
 # (module, name, planted defect, failing checks, a test the witness shape
 # passes, or None where no single shape is to blame)
 DEFECTS = {
@@ -77,6 +116,20 @@ DEFECTS = {
     "invalid-at-size-5": (verification, "is_valid", _reject_size(5), {"eco-partition"}, lambda p: p.n == 5 and p.cols[0] == (1, 1)),
     "reentrant-matrix-raises-at-size-4": (verification, "reentrant_matrix", _raise_at_size(4), {"corner-identities"}, lambda p: p.n == 4),
     "rotated-boundary-word": (verification, "boundary_word", _rotate_some, {"corner-identities"}, lambda p: p.cols[-1] == (1, 1)),
+    "closed-count-off-at-30": (verification, "closed_count", _plus_one_at(30), {"closed-form"}, None),
+    "g-series-off-at-its-order": (series, "series_n1", _bump_last_coefficient, {"series"}, None),
+    "closed-directed-off-at-15": (verification, "closed_directed", _plus_one_at(15), {"corollaries"}, None),
+    "closed-convex-off-at-6": (verification, "closed_convex_polyominoes", _plus_one_at(6), {"oracle-calibration"}, None),
+    "bivariate-r-entry-off": (series, "census_bivariate", _bump_an_r_entry, {"functional-equations"}, None),
+    "kernel-root-off-at-its-order": (series, "kernel_root", _bump_last_coefficient, {"kernel-root"}, None),
+    "production-gives-g-for-r": (verification, "production", _one_r_as_g, {"eco-partition"}, lambda p: p.n == 1),
+    "census-step-off-at-level-5": (
+        census.LabelCensus,
+        "step",
+        _bump_level_5,
+        {"sequence", "closed-form", "series", "corollaries", "eco-partition", "oracle-triangulation"},
+        None,
+    ),
 }
 
 
@@ -84,9 +137,17 @@ def test_every_check_passes_at_the_table_bounds():
     assert all(result.ok for result in verification.run_checks(**BOUNDS))
 
 
+def test_every_check_fails_in_some_row():
+    names = [result.name for result in verification.run_checks(**BOUNDS)]
+    assert set().union(*(row[3] for row in DEFECTS.values())) == set(names)
+
+
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, defect):
     module, name, plant, failing, hit = DEFECTS[defect]
+    # a cold level cache, so that no planted census level outlives the test
+    monkeypatch.setattr(census, "_LEVELS", [census._ROOT])
+    monkeypatch.setattr(census, "_REPLAY", census._ROOT)
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = [result for result in verification.run_checks(**BOUNDS) if not result.ok]
     assert {result.name for result in failed} == failing
