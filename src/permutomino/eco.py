@@ -3,8 +3,8 @@
 Every convex permutomino of size n+1 is produced exactly once by applying
 one of four local expansions to a convex permutomino of size n, always acting
 on the rightmost column.  Each expansion is named after the reentrant corner
-kind it creates at the new rightmost junction, and :func:`expand` applies
-the one an :class:`OperationTag` names:
+kind it creates at the new rightmost junction.  :func:`children` is the one
+statement of which expansions a shape admits and how each builds its child:
 
 * ``EN``  append a column flush with the top (needs a top-flush parent);
 * ``SE``  duplicate the row of the i-th rightmost-column cell and append a
@@ -14,8 +14,9 @@ the one an :class:`OperationTag` names:
 * ``NW``  append a column hanging one row below the bottom (needs a
   bottom-flush parent), then renormalize.
 
-The inverse map :func:`parent` reads the kind of the rightmost reentrant
-corner off the last two columns with :func:`~permutomino.grid.reentrant_corners`
+:func:`expand` looks one of them up by its :class:`OperationTag`.  The
+inverse map :func:`parent` reads the kind of the rightmost reentrant corner
+off the last two columns with :func:`~permutomino.grid.reentrant_corners`
 and undoes the unique expansion that created it, which is what makes the
 construction a bijection level by level.  :func:`walk` is the one depth-first
 walk of this tree; the shape streams and the checks in ``verification`` read it.
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .census import Key
-from .grid import REENTRANT_KINDS, Interval, Permutomino, UNIT, reentrant_corners
+from .grid import Interval, Permutomino, UNIT, reentrant_corners
 
 
 # The largest ``generate --n``, set by output volume: count(12) is 15.2 M
@@ -60,23 +61,6 @@ def _remove_row(cols: tuple[Interval, ...], r: int) -> tuple[Interval, ...]:
     return tuple([(lo - (lo > r), hi - (hi >= r)) for lo, hi in cols])
 
 
-def _grown(cols: tuple[Interval, ...], en: bool, rows: Iterable[int], nw: bool) -> list[tuple[Interval, ...]]:
-    # the column formulas of the four expansions, children in emission
-    # order: EN if ``en``, SE on each of ``rows``, WS on each, NW if ``nw``.
-    # SE and WS on one row append their last column to one duplicated prefix.
-    lo, hi = cols[-1]
-    grown = [cols + ((lo, hi + 1),)] if en else []
-    ws = []
-    for r in rows:
-        prefix = _duplicate_row(cols, r)
-        grown.append(prefix + ((lo, r),))
-        ws.append(prefix + ((r + 1, hi + 1),))
-    grown += ws
-    if nw:
-        grown.append(tuple([(c_lo + 1, c_hi + 1) for c_lo, c_hi in cols]) + ((1, hi + 1),))
-    return grown
-
-
 _EN, _NW = OperationTag("EN"), OperationTag("NW")
 
 
@@ -86,49 +70,39 @@ def _side_tags(k: int) -> tuple[OperationTag, ...]:
     return tuple([OperationTag(kind, i) for kind in ("SE", "WS") for i in range(1, k + 1)])
 
 
-def expand(p: Permutomino, tag: OperationTag) -> Permutomino:
-    """Apply the expansion ``tag`` (described in the module docstring) to
-    ``p``; the child's rightmost reentrant corner has the tag's kind.
-
-    Any tag that :func:`children` would not emit for ``p`` raises
-    ValueError: EN on a shape that is not top-flush, NW on one that is not
-    bottom-flush, EN or NW with a cell index, SE or WS without a cell in
-    ``1..degree``, and any other kind.
-    """
-    kind, i = tag.kind, tag.cell
-    lo, hi = p.cols[-1]
-    if kind == "SE" or kind == "WS":
-        if type(i) is not int or not 1 <= i <= hi - lo + 1:
-            raise ValueError(f"{kind} needs a cell index in 1..{hi - lo + 1}, got {i!r}")
-        se, ws = _grown(p.cols, False, (lo + i - 1,), False)
-        return Permutomino(se if kind == "SE" else ws)
-    if kind not in REENTRANT_KINDS:
-        raise ValueError(f"unknown operation {kind!r}")
-    if i is not None:
-        raise ValueError(f"{kind} takes no cell index, got {i!r}")
-    if kind == "EN":
-        if not p.touches_top():
-            raise ValueError("EN expansion needs a top-flush rightmost column")
-        return Permutomino(*_grown(p.cols, True, (), False))
-    if not p.touches_bottom():
-        raise ValueError("NW expansion needs a bottom-flush rightmost column")
-    return Permutomino(*_grown(p.cols, False, (), True))
-
-
 def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
-    """All expansions of a shape, in the fixed emission order
-    EN, SE(1..k), WS(1..k), NW (admissibility filtered by class); each
-    child equals :func:`expand` of its tag.  SE:i and WS:i share one
-    duplicated prefix, built once per cell.
-
-    A class-B parent of degree k gets 2k+2 children, class R gets 2k+1 and
-    class G gets 2k.
+    """All expansions of a shape, in the fixed emission order EN, SE:1..k,
+    WS:1..k, NW, where k is the degree: EN only on a top-flush shape and NW
+    only on a bottom-flush one, so a class-B parent gets 2k+2 children,
+    class R 2k+1 and class G 2k.  SE:i and WS:i share one duplicated
+    prefix, built once per cell.
     """
     cols = p.cols
     lo, hi = cols[-1]
     top, bottom = p.touches_top(), p.touches_bottom()
+    grown = [cols + ((lo, hi + 1),)] if top else []
+    ws = []
+    for r in range(lo, hi + 1):
+        prefix = _duplicate_row(cols, r)
+        grown.append(prefix + ((lo, r),))
+        ws.append(prefix + ((r + 1, hi + 1),))
+    grown += ws
+    if bottom:
+        grown.append(tuple([(c_lo + 1, c_hi + 1) for c_lo, c_hi in cols]) + ((1, hi + 1),))
     tags = ((_EN,) if top else ()) + _side_tags(hi - lo + 1) + ((_NW,) if bottom else ())
-    return list(zip(tags, map(Permutomino, _grown(cols, top, range(lo, hi + 1), bottom))))
+    return list(zip(tags, map(Permutomino, grown)))
+
+
+def expand(p: Permutomino, tag: OperationTag) -> Permutomino:
+    """The child of ``p`` that :func:`children` emits under ``tag``: its
+    rightmost reentrant corner has the tag's kind.  A tag that
+    :func:`children` does not emit for ``p``, or whose cell differs from the
+    emitted one in type (``SE:True``, ``WS:1.0``), raises ValueError.
+    """
+    for emitted, child in children(p):
+        if emitted == tag and type(emitted.cell) is type(tag.cell):
+            return child
+    raise ValueError(f"children() emits no {tag!r} for this shape")
 
 
 def parent(p: Permutomino) -> tuple[Permutomino, OperationTag]:

@@ -58,6 +58,10 @@ def test_expand_preconditions():
         expand(UNIT, OperationTag("SE", 0))
     with pytest.raises(ValueError):
         expand(UNIT, OperationTag("WS", 2))
+    # cells of the wrong type: True and 1.0 equal 1 and hash alike
+    for tag in (OperationTag("SE", True), OperationTag("WS", 1.0), OperationTag("EN", 0)):
+        with pytest.raises(ValueError):
+            expand(UNIT, tag)
 
 
 def test_expand_admits_exactly_the_tags_children_emits(levels):

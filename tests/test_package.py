@@ -25,6 +25,7 @@ REMOVED = (
     "expand_ws",
     "Label",
     "Poly",
+    "_grown",
 )
 REMOVED_FROM_GRID = ("_occupied", "_corner_vertices", "_sdiff_runs", "_run_count", "_rises_then_falls", "_overlapping")
 ROOT = Path(__file__).resolve().parent.parent
