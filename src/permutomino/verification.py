@@ -8,11 +8,13 @@ The CLI ``verify`` subcommand and the acceptance tests both run these.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
 from . import eco, oracle, series
 from .census import (
+    catalan,
     census,
     closed_convex_polyominoes,
     closed_count,
@@ -56,11 +58,16 @@ def check_sequence() -> CheckResult:
     return CheckResult("sequence", True, "f(1..7) = " + " ".join(map(str, got)))
 
 
-def check_closed_form(max_n: int = 40) -> CheckResult:
+def _matches_census(name: str, route: str, count_of: Callable[[int], int], max_n: int) -> CheckResult:
     for n in range(1, max_n + 1):
-        if closed_count(n) != count(n):
-            return _fail("closed-form", f"mismatch at n={n}")
-    return CheckResult("closed-form", True, f"closed form == census for n <= {max_n}")
+        got, want = count_of(n), count(n)
+        if got != want:
+            return _fail(name, f"{route} found {got} at n={n}, census says {want}")
+    return CheckResult(name, True, f"{route} == census for n <= {max_n}")
+
+
+def check_closed_form(max_n: int = 40) -> CheckResult:
+    return _matches_census("closed-form", "closed form", closed_count, max_n)
 
 
 def check_series(max_n: int = 25) -> CheckResult:
@@ -149,12 +156,7 @@ def check_oracle_calibration(max_m: int = 8) -> CheckResult:
 
 
 def check_oracle_triangulation(max_n: int) -> CheckResult:
-    for n in range(1, max_n + 1):
-        got = oracle.count_permutominoes(n)
-        want = count(n)
-        if got != want:
-            return _fail("oracle-triangulation", f"brute force found {got} at n={n}, census says {want}")
-    return CheckResult("oracle-triangulation", True, f"brute force == census for n <= {max_n}")
+    return _matches_census("oracle-triangulation", "brute force", oracle.count_permutominoes, max_n)
 
 
 def check_corollaries(max_n: int = 20) -> CheckResult:
@@ -187,25 +189,23 @@ def check_kernel(order: int = 30) -> CheckResult:
     if not residual.is_zero():
         return _fail("kernel-root", f"1 - s0 + t s0^2 != 0 to order {order}")
     root = series.kernel_root(order)
-    if any(root[k] <= 0 for k in range(order + 1)):
-        return _fail("kernel-root", "root series has a nonpositive coefficient")
-    return CheckResult("kernel-root", True, f"kernel residual vanishes to order {order}, coefficients positive")
+    if any(root[k] != catalan(k) for k in range(order + 1)):
+        return _fail("kernel-root", "root series coefficients are not the Catalan numbers")
+    return CheckResult(
+        "kernel-root", True, f"kernel residual vanishes to order {order}, coefficients are Catalan numbers"
+    )
 
 
 def check_pair_oracle(max_n: int) -> CheckResult:
-    for n in range(1, max_n + 1):
-        got = oracle.count_pair_permutominoes(n)
-        want = count(n)
-        if got != want:
-            return _fail("pair-oracle", f"pair reconstruction found {got} at n={n}, census says {want}")
-    return CheckResult("pair-oracle", True, f"pair reconstruction == census for n <= {max_n}")
+    return _matches_census("pair-oracle", "pair reconstruction", oracle.count_pair_permutominoes, max_n)
 
 
-def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> list[CheckResult]:
+def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterator[CheckResult]:
     """Run the whole triangulation suite with the given bounds.
 
-    A check that raises fails under its own name, with the exception's type
-    and message as its detail, and the checks after it still run.
+    Each result is yielded when its check finishes. A check that raises
+    fails under its own name, with the exception's type and message as its
+    detail, and the checks after it still run.
     """
     checks = [
         ("sequence", check_sequence, ()),
@@ -220,10 +220,9 @@ def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> list[Ch
         ("kernel-root", check_kernel, ()),
         ("pair-oracle", check_pair_oracle, (pair_n,)),
     ]
-    results = []
     for name, check, args in checks:
         try:
-            results.append(check(*args))
+            result = check(*args)
         except Exception as exc:
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return results
+            result = CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+        yield result

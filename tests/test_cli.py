@@ -683,6 +683,20 @@ def test_verify_reports_a_check_that_raises_and_runs_the_rest(capsys, monkeypatc
     assert lines[-1] == f"FAIL {'pair-oracle':<22} ValueError: planted"
 
 
+def test_verify_prints_each_line_when_its_check_finishes(capsys, monkeypatch):
+    from permutomino import verification
+
+    seen = []
+
+    def calibration():
+        seen.extend(line[5:27].rstrip() for line in capsys.readouterr().out.splitlines())
+        return verification.CheckResult("oracle-calibration", True, "stand-in")
+
+    monkeypatch.setattr(verification, "check_oracle_calibration", calibration)
+    assert main(["verify", "--max-n", "3"]) == 0
+    assert seen == ["sequence", "closed-form", "series", "eco-partition", "corner-identities"]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "c.txt"
     code = main(["count", "--n", "6", "--out", str(target)])

@@ -472,7 +472,7 @@ def test_verify_keeps_no_level_in_memory():
 
     tracemalloc.start()
     try:
-        results = verification.run_checks(max_n=6, oracle_n=1, order=1, pair_n=1)
+        results = list(verification.run_checks(max_n=6, oracle_n=1, order=1, pair_n=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -122,6 +122,7 @@ DEFECTS = {
     "closed-convex-off-at-6": (verification, "closed_convex_polyominoes", _plus_one_at(6), {"oracle-calibration"}, None),
     "bivariate-r-entry-off": (series, "census_bivariate", _bump_an_r_entry, {"functional-equations"}, None),
     "kernel-root-off-at-its-order": (series, "kernel_root", _bump_last_coefficient, {"kernel-root"}, None),
+    "catalan-off-at-10": (verification, "catalan", _plus_one_at(10), {"kernel-root"}, None),
     "production-gives-g-for-r": (verification, "production", _one_r_as_g, {"eco-partition"}, lambda p: p.n == 1),
     "census-step-off-at-level-5": (
         census.LabelCensus,
@@ -168,7 +169,15 @@ def test_a_check_that_raises_fails_under_its_own_name(monkeypatch):
     for name in dir(verification):
         if name.startswith("check_"):
             monkeypatch.setattr(verification, name, planted)
-    results = verification.run_checks(max_n=2, oracle_n=1, order=1, pair_n=1)
+    results = list(verification.run_checks(max_n=2, oracle_n=1, order=1, pair_n=1))
     assert [result.name for result in results] == own
     assert len(own) == len(set(own)) == 11
     assert all(not result.ok and result.detail == "ValueError: planted" for result in results)
+
+
+def test_a_count_route_names_what_it_found_and_what_the_census_says(monkeypatch):
+    monkeypatch.setattr(verification, "closed_count", _plus_one_at(30)(verification.closed_count))
+    f = census.count(30)
+    result = verification.check_closed_form()
+    assert not result.ok
+    assert result.detail == f"closed form found {f + 1} at n=30, census says {f}"
