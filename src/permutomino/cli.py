@@ -120,6 +120,10 @@ class _OutFile:
             self.handle = open(self.path, "w", encoding="utf-8")
         return self.handle.write(text)
 
+    def flush(self) -> None:
+        if self.handle is not None:
+            self.handle.flush()
+
     def __enter__(self) -> "_OutFile":
         return self
 
@@ -278,6 +282,8 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
             failed = True
             if result.witness:
                 print(f"     witness: {result.witness}", file=out)
+        # so that a reader of a pipe sees each line as its check ends
+        out.flush()
     return 1 if failed else 0
 
 

@@ -8,7 +8,11 @@ The CLI ``verify`` subcommand and the acceptance tests both run these.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from collections.abc import Callable, Iterator
+from typing import BinaryIO
 from dataclasses import dataclass
 from itertools import chain
 
@@ -200,12 +204,47 @@ def check_pair_oracle(max_n: int) -> CheckResult:
     return _matches_census("pair-oracle", "pair reconstruction", oracle.count_pair_permutominoes, max_n)
 
 
+# Checks run in one forked worker beside eco-partition, where os.fork exists.
+# eco-partition and oracle-triangulation stay in the calling process because
+# the traced benchmark counts their calls there exactly, and
+# oracle-calibration because it starts only after corner-identities' line is out.
+_IN_WORKER = ("corner-identities", "pair-oracle")
+
+
+def _run(name: str, check: Callable[..., CheckResult], args: tuple) -> CheckResult:
+    try:
+        return check(*args)
+    except Exception as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+
+def _fork(checks: list) -> tuple[int, BinaryIO]:
+    """Fork a worker that runs ``checks`` in order and writes each pickled
+    result to the pipe it returns; the worker never returns here."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            for check in checks:
+                os.write(write, pickle.dumps(_run(*check)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
 def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterator[CheckResult]:
     """Run the whole triangulation suite with the given bounds.
 
-    Each result is yielded when its check finishes. A check that raises
-    fails under its own name, with the exception's type and message as its
-    detail, and the checks after it still run.
+    Each result is yielded in list order when its check finishes. A check
+    that raises fails under its own name, with the exception's type and
+    message as its detail, and the checks after it still run. Where
+    ``os.fork`` exists, the checks in ``_IN_WORKER`` run in one short-lived
+    worker process, started with eco-partition and ended when this
+    generator ends or is closed.
     """
     checks = [
         ("sequence", check_sequence, ()),
@@ -220,9 +259,24 @@ def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterato
         ("kernel-root", check_kernel, ()),
         ("pair-oracle", check_pair_oracle, (pair_n,)),
     ]
-    for name, check, args in checks:
-        try:
-            result = check(*args)
-        except Exception as exc:
-            result = CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-        yield result
+    pid = pipe = status = None
+    try:
+        for name, check, args in checks:
+            if name == "eco-partition" and hasattr(os, "fork"):
+                pid, pipe = _fork([c for c in checks if c[0] in _IN_WORKER])
+            if pipe is None or name not in _IN_WORKER:
+                yield _run(name, check, args)
+                continue
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                if status is None:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                result = CheckResult(name, False, f"worker process exited with status {status} before this check ended")
+            yield result
+    finally:
+        if pipe is not None:
+            pipe.close()
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)

@@ -697,6 +697,70 @@ def test_verify_prints_each_line_when_its_check_finishes(capsys, monkeypatch):
     assert seen == ["sequence", "closed-form", "series", "eco-partition", "corner-identities"]
 
 
+def test_verify_flushes_each_line_before_the_next_check_runs(monkeypatch):
+    from permutomino import verification
+
+    class Recording(io.StringIO):
+        flushed = ""
+
+        def flush(self):
+            self.flushed = self.getvalue()
+
+    out = Recording()
+    seen = []
+
+    def calibration():
+        seen.extend(line[5:27].rstrip() for line in out.flushed.splitlines())
+        return verification.CheckResult("oracle-calibration", True, "stand-in")
+
+    monkeypatch.setattr(verification, "check_oracle_calibration", calibration)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--max-n", "3"]) == 0
+    assert seen == ["sequence", "closed-form", "series", "eco-partition", "corner-identities"]
+    assert out.flushed == out.getvalue()
+
+
+def test_verify_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    target = tmp_path / "verify.txt"
+    assert main(["verify", "--max-n", "3", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "--max-n", "3"]) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_verify_in_a_subprocess_prints_each_line_once_and_leaves_nothing_running(capsys):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permutomino.cli", "verify", "--max-n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        # reads stdout to its end: a worker left running would hold it open
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    names = [line[5:27].rstrip() for line in out.decode().splitlines()]
+    assert names == [
+        "sequence",
+        "closed-form",
+        "series",
+        "eco-partition",
+        "corner-identities",
+        "oracle-calibration",
+        "oracle-triangulation",
+        "corollaries",
+        "functional-equations",
+        "kernel-root",
+        "pair-oracle",
+    ]
+    assert main(["verify", "--max-n", "5"]) == 0
+    assert out.decode() == capsys.readouterr().out
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "c.txt"
     code = main(["count", "--n", "6", "--out", str(target)])

@@ -481,6 +481,25 @@ def test_verify_keeps_no_level_in_memory():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("check, bound", [("check_corner_identities", 6), ("check_pair_oracle", 4)])
+def test_a_worker_side_check_keeps_no_level_in_memory(check, bound):
+    # run_checks runs these two in a forked worker, which the test above
+    # does not trace, so each is traced here in this process
+    import tracemalloc
+
+    from permutomino import census, verification
+
+    census.count(bound)
+    tracemalloc.start()
+    try:
+        result = getattr(verification, check)(bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok, result
+    assert peak < 2**20
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=0, max_size=6))
 def test_random_descent_reverses_by_parent(choices):

@@ -6,6 +6,9 @@ the shape each witness names wherever one shape is to blame.
 """
 
 import json
+import os
+import signal
+import threading
 
 import pytest
 
@@ -181,3 +184,66 @@ def test_a_count_route_names_what_it_found_and_what_the_census_says(monkeypatch)
     result = verification.check_closed_form()
     assert not result.ok
     assert result.detail == f"closed form found {f + 1} at n=30, census says {f}"
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker needs os.fork")
+
+
+@needs_fork
+def test_closing_the_checks_early_leaves_no_process():
+    checks = verification.run_checks(**BOUNDS)
+    names = [next(checks).name for _ in range(5)]
+    assert names[3:] == ["eco-partition", "corner-identities"]
+    checks.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_worker_that_dies_fails_its_checks_and_the_rest_still_run(monkeypatch):
+    clean = list(verification.run_checks(**BOUNDS))
+    monkeypatch.setattr(verification, "check_corner_identities", lambda max_n: os._exit(3))
+    results = list(verification.run_checks(**BOUNDS))
+    assert [result.name for result in results] == [result.name for result in clean]
+    for result, before in zip(results, clean):
+        if result.name in ("corner-identities", "pair-oracle"):
+            assert not result.ok and "status 3" in result.detail, result
+        else:
+            assert result == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_the_worker_waits_on_no_lock_held_when_it_was_forked():
+    census.count(40)
+    held, done = threading.Event(), threading.Event()
+
+    def hold():
+        with census._LEVELS_LOCK:
+            held.set()
+            done.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait()
+
+    def timeout(signum, frame):
+        raise TimeoutError("run_checks hung")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        results = list(verification.run_checks(max_n=4, oracle_n=4, order=4, pair_n=3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        done.set()
+        holder.join()
+    assert all(result.ok for result in results)
+
+
+def test_without_fork_every_check_runs_in_the_calling_process(monkeypatch):
+    forked = list(verification.run_checks(**BOUNDS))
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert list(verification.run_checks(**BOUNDS)) == forked
