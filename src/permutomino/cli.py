@@ -277,13 +277,12 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     failed = False
     for result in results:
         status = "ok  " if result.ok else "FAIL"
-        print(f"{status} {result.name:<22} {result.detail}", file=out)
+        # flushed, so that a pipe too sees each line as its check ends
+        print(f"{status} {result.name:<22} {result.detail}", file=out, flush=True)
         if not result.ok:
             failed = True
             if result.witness:
-                print(f"     witness: {result.witness}", file=out)
-        # so that a reader of a pipe sees each line as its check ends
-        out.flush()
+                print(f"     witness: {result.witness}", file=out, flush=True)
     return 1 if failed else 0
 
 

@@ -12,9 +12,9 @@ import os
 import pickle
 import signal
 from collections.abc import Callable, Iterator
-from typing import BinaryIO
 from dataclasses import dataclass
 from itertools import chain
+from typing import BinaryIO
 
 from . import eco, oracle, series
 from .census import (
@@ -32,8 +32,8 @@ from .grid import Permutomino, boundary_word, classify, corner_report, is_valid,
 SEQUENCE = (1, 4, 18, 84, 394, 1836, 8468)
 
 # The largest ``verify --max-n``.  Memory stays at about 18 MiB, so time
-# sets it: cold on two cores with the oracles at 1, --max-n 8 takes 6-7.5 s
-# and --max-n 9 30-33 s, each level about 4-5x the one before.
+# sets it: cold on two cores with the oracles at 1, --max-n 8 takes 3.5-4 s
+# and --max-n 9 13-15 s, each level about 4x the one before.
 MAX_N = 9
 
 
@@ -224,14 +224,13 @@ def _fork(checks: list) -> tuple[int, BinaryIO]:
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
-        status = 1
         try:
             os.close(read)
             for check in checks:
                 os.write(write, pickle.dumps(_run(*check)))
-            status = 0
+            os._exit(0)
         finally:
-            os._exit(status)
+            os._exit(1)
     os.close(write)
     return pid, os.fdopen(read, "rb")
 
@@ -242,9 +241,8 @@ def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterato
     Each result is yielded in list order when its check finishes. A check
     that raises fails under its own name, with the exception's type and
     message as its detail, and the checks after it still run. Where
-    ``os.fork`` exists, the checks in ``_IN_WORKER`` run in one short-lived
-    worker process, started with eco-partition and ended when this
-    generator ends or is closed.
+    ``os.fork`` exists, ``_IN_WORKER`` runs in a worker process that lives
+    from eco-partition's start until this generator ends or is closed.
     """
     checks = [
         ("sequence", check_sequence, ()),

@@ -222,11 +222,11 @@ def test_the_worker_waits_on_no_lock_held_when_it_was_forked():
     def hold():
         with census._LEVELS_LOCK:
             held.set()
-            done.wait()
+            done.wait(timeout=120)
 
-    holder = threading.Thread(target=hold)
+    holder = threading.Thread(target=hold, daemon=True)
     holder.start()
-    held.wait()
+    assert held.wait(timeout=10)
 
     def timeout(signum, frame):
         raise TimeoutError("run_checks hung")
@@ -239,11 +239,12 @@ def test_the_worker_waits_on_no_lock_held_when_it_was_forked():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
         done.set()
-        holder.join()
+        holder.join(timeout=10)
+    assert not holder.is_alive()
     assert all(result.ok for result in results)
 
 
-def test_without_fork_every_check_runs_in_the_calling_process(monkeypatch):
+def test_without_fork_the_checks_give_the_same_results(monkeypatch):
     forked = list(verification.run_checks(**BOUNDS))
     monkeypatch.delattr(os, "fork", raising=False)
     assert list(verification.run_checks(**BOUNDS)) == forked
