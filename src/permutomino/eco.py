@@ -70,12 +70,28 @@ def _side_tags(k: int) -> tuple[OperationTag, ...]:
     return tuple([OperationTag(kind, i) for kind in ("SE", "WS") for i in range(1, k + 1)])
 
 
+def _child(cols: tuple[Interval, ...]) -> Permutomino:
+    # a shape built without the constructor's checks; children() says why
+    # that is sound
+    child = object.__new__(Permutomino)
+    object.__setattr__(child, "cols", cols)
+    return child
+
+
 def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
     """All expansions of a shape, in the fixed emission order EN, SE:1..k,
     WS:1..k, NW, where k is the degree: EN only on a top-flush shape and NW
     only on a bottom-flush one, so a class-B parent gets 2k+2 children,
     class R 2k+1 and class G 2k.  SE:i and WS:i share one duplicated
     prefix, built once per cell.
+
+    Children skip the constructor's checks, which were the largest single
+    cost of ``generate``.  Any parent the constructor accepts passes them on:
+    the expansions only add integers to integer bounds; row duplication and
+    the NW shift raise no ``lo`` above its ``hi`` and leave a ``lo`` of 1
+    at 1; and each new column lies in rows 1 and up and shares a row with
+    the old last column.  :func:`~permutomino.grid.is_valid` checks the
+    same rule, so ``verify`` still checks it on every child it reaches.
     """
     cols = p.cols
     lo, hi = cols[-1]
@@ -90,7 +106,7 @@ def children(p: Permutomino) -> list[tuple[OperationTag, Permutomino]]:
     if bottom:
         grown.append(tuple([(c_lo + 1, c_hi + 1) for c_lo, c_hi in cols]) + ((1, hi + 1),))
     tags = ((_EN,) if top else ()) + _side_tags(hi - lo + 1) + ((_NW,) if bottom else ())
-    return list(zip(tags, map(Permutomino, grown)))
+    return list(zip(tags, map(_child, grown)))
 
 
 def expand(p: Permutomino, tag: OperationTag) -> Permutomino:

@@ -79,6 +79,11 @@ class Permutomino:
     ordinate 1.  Convexity and the permutomino property are checked by
     :func:`is_convex` and :func:`is_permutomino`; valid convex permutominoes
     additionally have an exactly square bounding box.
+
+    ``eco.children`` builds its shapes without these checks, because the
+    expansions of a shape that passed them always pass them too;
+    :func:`is_valid` checks the same structural rule, so a malformed child
+    fails it instead of passing as valid.
     """
 
     cols: tuple[Interval, ...]
@@ -362,19 +367,30 @@ def is_permutomino(shape: "Permutomino | Sequence[Interval]") -> bool:
 
 
 def is_valid(p: Permutomino) -> bool:
-    """Full validity: square bounding box, convex, permutomino property.
+    """Full validity: the constructor's structural rule, square bounding box,
+    convex, permutomino property.
 
-    ``p.height == p.n and is_convex(p) and is_permutomino(p)`` in one scan:
-    one end moves at each inner abscissa, tops rise then fall, bottoms fall
-    then rise, and the start ordinates of the vertical sides never repeat,
-    so with bottom row 1 and top row n they are exactly ``1 .. n + 1``.
+    Shapes from ``eco.children`` skip the constructor, so this checks its
+    rule too, and returns False, never an exception, for columns the
+    constructor refuses.  The rest is ``p.height == p.n and is_convex(p)
+    and is_permutomino(p)`` in the same scan: one end moves at each inner
+    abscissa, tops rise then fall, bottoms fall then rise, and the start
+    ordinates of the vertical sides never repeat, so with bottom row 1 and
+    top row n they are exactly ``1 .. n + 1``.  Every column's ``lo`` is
+    among those starts, so a column at row 1 means the start 1.
     """
+    if not p.cols:
+        return False
     cols = iter(p.cols)
     lo_a, hi_a = next(cols)
+    if type(lo_a) is not int or type(hi_a) is not int or not 1 <= lo_a <= hi_a:
+        return False
     starts = 1 << lo_a
     hi_max = hi_a
     top_falling = bottom_rising = False
     for lo_b, hi_b in cols:
+        if type(lo_b) is not int or type(hi_b) is not int or not 1 <= lo_b <= hi_b:
+            return False
         if hi_b != hi_a:
             if lo_b != lo_a:
                 return False
@@ -396,7 +412,7 @@ def is_valid(p: Permutomino) -> bool:
             return False
         starts |= 1 << y
         lo_a, hi_a = lo_b, hi_b
-    return not starts >> (hi_a + 1) & 1 and hi_max == len(p.cols)
+    return starts & 2 != 0 and not starts >> (hi_a + 1) & 1 and hi_max == len(p.cols)
 
 
 def classify(p: Permutomino) -> tuple[int, str]:

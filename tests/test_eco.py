@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutomino import eco
 from permutomino.census import census, count, production
 from permutomino.eco import (
     OperationTag,
@@ -513,3 +515,68 @@ def test_random_descent_reverses_by_parent(choices):
         p, back_tag = parent(p)
         assert back_tag == tag
     assert p == UNIT
+
+
+def test_children_pass_the_constructor_checks_they_skip():
+    # every child of every shape up to size 7 is the shape the validating
+    # constructor builds from its columns, hash included
+    kids = 0
+    for *_, family in walk(7):
+        for _, child in family:
+            checked = Permutomino(child.cols)
+            assert child == checked and hash(child) == hash(checked), child
+            kids += 1
+    assert kids == sum(count(n) for n in range(2, 9))
+
+
+@st.composite
+def _constructor_valid_shapes(draw):
+    # any shape the constructor accepts: overlapping column intervals with
+    # bottom row 1, convex or not, permutomino or not
+    lo = draw(st.integers(min_value=1, max_value=4))
+    cols = [(lo, draw(st.integers(min_value=lo, max_value=6)))]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        lo_a, hi_a = cols[-1]
+        lo = draw(st.integers(min_value=1, max_value=hi_a))
+        cols.append((lo, draw(st.integers(min_value=max(lo, lo_a), max_value=hi_a + 3))))
+    shift = min(lo for lo, _ in cols) - 1
+    return Permutomino(tuple((lo - shift, hi - shift) for lo, hi in cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constructor_valid_shapes())
+def test_children_of_any_constructor_valid_shape_pass_its_checks(p):
+    for _, child in children(p):
+        checked = Permutomino(child.cols)
+        assert child == checked and hash(child) == hash(checked), child
+
+
+def test_a_child_survives_a_pickle_round_trip(levels):
+    for p in levels[4]:
+        for _, child in children(p):
+            back = pickle.loads(pickle.dumps(child))
+            assert type(back) is Permutomino
+            assert back == child and hash(back) == hash(child)
+
+
+def test_the_walk_runs_no_constructor_check_and_parent_and_from_record_one_each(monkeypatch):
+    # counted the way the traced benchmark wraps the constructor's checks
+    calls = []
+    checks = Permutomino.__post_init__
+
+    def counted(self):
+        calls.append(self.cols)
+        checks(self)
+
+    monkeypatch.setattr(Permutomino, "__post_init__", counted)
+    shapes = list(eco.walk(6))
+    assert calls == []
+    kids = [child for *_, family in shapes for _, child in family]
+    assert len(kids) == sum(count(n) for n in range(2, 8))
+    for child in kids:
+        parent(child)
+    assert len(calls) == len(kids)
+    calls.clear()
+    for child in kids:
+        Permutomino.from_record(child.to_record())
+    assert calls == [child.cols for child in kids]

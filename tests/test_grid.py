@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from permutomino.eco import children, iter_permutominoes
+from permutomino.eco import _child, children, iter_permutominoes
 from permutomino.grid import (
     REENTRANT_KINDS,
     SALIENT_KINDS,
@@ -329,6 +329,35 @@ def test_is_valid_is_square_convex_and_permutomino():
     assert verdicts == [_is_valid_reference(p) for p in shapes]
     assert all(verdicts[-len(kids) :])
     assert 0 < sum(verdicts[: -len(kids)]) < len(shapes) - len(kids)
+
+
+# the constructor's own garbage cases, then columns that reach below row 1
+# or end below their start, and a shape with no column at row 1
+UNCHECKED_GARBAGE = [
+    (),
+    ((2, 1),),
+    ((0, 1),),
+    ((1, 1), (2, 2)),
+    ((2, 3), (2, 2)),
+    ((1, 1), (3, 3), (2, 1)),
+    ((1, 1), (3, 3), (1.5, 2)),
+    ((True, True),),
+    ((1, 1), (1, False)),
+    ((1, 2), (0, 2)),
+    ((-1, 1),),
+    ((0, 2), (1, 1)),
+    ((2, 2), (0, 2)),
+    ((3, 3), (2, 3)),
+    ((1, 2), (1, 1), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("cols", UNCHECKED_GARBAGE, ids=repr)
+def test_is_valid_refuses_what_the_constructor_refuses(cols):
+    with pytest.raises(ValueError):
+        Permutomino(cols)
+    # built as eco.children builds its children, without the constructor's checks
+    assert is_valid(_child(cols)) is False
 
 
 def _corner_report_reference(word):

@@ -109,6 +109,31 @@ def _bump_level_5(real):
     return step
 
 
+def _nw_column_at_row_0(real):
+    # every NW child's new column reaches down to row 0, built as children builds
+    def planted(p):
+        return [
+            (tag, eco._child(child.cols[:-1] + ((0, child.cols[-1][1]),)) if tag.kind == "NW" else child)
+            for tag, child in real(p)
+        ]
+
+    return planted
+
+
+def _se_child_at_row_0(real):
+    # every column at row 1 of an SE child reaches down to row 0, where that
+    # keeps the child's label: its last column must stay clear of row 1
+    def planted(p):
+        return [
+            (tag, eco._child(tuple((lo - (lo == 1), hi) for lo, hi in child.cols)))
+            if tag.kind == "SE" and child.cols[-1][0] > 1
+            else (tag, child)
+            for tag, child in real(p)
+        ]
+
+    return planted
+
+
 # (module, name, planted defect, failing checks, a test the witness shape
 # passes, or None where no single shape is to blame)
 DEFECTS = {
@@ -134,7 +159,31 @@ DEFECTS = {
         {"sequence", "closed-form", "series", "corollaries", "eco-partition", "oracle-triangulation"},
         None,
     ),
+    "nw-child-reaches-row-0": (
+        eco,
+        "children",
+        _nw_column_at_row_0,
+        {"eco-partition", "corner-identities"},
+        lambda p: p.cols[-1][0] == 0 or p == eco.UNIT,
+    ),
+    "se-child-keeps-its-label-at-row-0": (
+        eco,
+        "children",
+        _se_child_at_row_0,
+        {"eco-partition", "corner-identities"},
+        lambda p: p.cols[0][0] == 0,
+    ),
 }
+
+
+def _witness(text):
+    # the shape a witness names; a malformed child, which from_record
+    # refuses, keeps its columns as they are
+    record = json.loads(text)
+    try:
+        return Permutomino.from_record(record)
+    except ValueError:
+        return eco._child(tuple(tuple(col) for col in record["cols"]))
 
 
 def test_every_check_passes_at_the_table_bounds():
@@ -159,7 +208,16 @@ def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, defect):
         if hit is None:
             assert result.witness is None, result
         else:
-            assert hit(Permutomino.from_record(json.loads(result.witness))), result
+            assert hit(_witness(result.witness)), result
+
+
+def test_a_malformed_child_that_keeps_its_label_is_an_invalid_child(monkeypatch):
+    # the same child passes a check that trusts the constructor's rule, and
+    # then eco.parent's constructor raises with no witness
+    monkeypatch.setattr(eco, "children", _se_child_at_row_0(eco.children))
+    result = verification.check_eco_partition(BOUNDS["max_n"])
+    assert not result.ok and result.detail == "invalid child"
+    assert json.loads(result.witness)["cols"] == [[0, 3], [0, 4], [0, 5], [0, 6], [2, 6], [2, 2]]
 
 
 def test_a_check_that_raises_fails_under_its_own_name(monkeypatch):
