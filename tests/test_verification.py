@@ -159,31 +159,7 @@ DEFECTS = {
         {"sequence", "closed-form", "series", "corollaries", "eco-partition", "oracle-triangulation"},
         None,
     ),
-    "nw-child-reaches-row-0": (
-        eco,
-        "children",
-        _nw_column_at_row_0,
-        {"eco-partition", "corner-identities"},
-        lambda p: p.cols[-1][0] == 0 or p == eco.UNIT,
-    ),
-    "se-child-keeps-its-label-at-row-0": (
-        eco,
-        "children",
-        _se_child_at_row_0,
-        {"eco-partition", "corner-identities"},
-        lambda p: p.cols[0][0] == 0,
-    ),
 }
-
-
-def _witness(text):
-    # the shape a witness names; a malformed child, which from_record
-    # refuses, keeps its columns as they are
-    record = json.loads(text)
-    try:
-        return Permutomino.from_record(record)
-    except ValueError:
-        return eco._child(tuple(tuple(col) for col in record["cols"]))
 
 
 def test_every_check_passes_at_the_table_bounds():
@@ -208,16 +184,40 @@ def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, defect):
         if hit is None:
             assert result.witness is None, result
         else:
-            assert hit(_witness(result.witness)), result
+            assert hit(Permutomino.from_record(json.loads(result.witness))), result
 
 
-def test_a_malformed_child_that_keeps_its_label_is_an_invalid_child(monkeypatch):
-    # the same child passes a check that trusts the constructor's rule, and
-    # then eco.parent's constructor raises with no witness
-    monkeypatch.setattr(eco, "children", _se_child_at_row_0(eco.children))
-    result = verification.check_eco_partition(BOUNDS["max_n"])
-    assert not result.ok and result.detail == "invalid child"
-    assert json.loads(result.witness)["cols"] == [[0, 3], [0, 4], [0, 5], [0, 6], [2, 6], [2, 2]]
+# Malformed children, which no constructor would accept: (planted defect,
+# failing checks, eco-partition's detail, a test each witness's columns pass)
+MALFORMED_CHILDREN = {
+    "nw-child-reaches-row-0": (
+        _nw_column_at_row_0,
+        {"eco-partition", "corner-identities"},
+        "children labels of (1, 'B') break the succession rule",
+        lambda cols: cols[-1][0] == 0 or cols == [[1, 1]],
+    ),
+    # the child keeps its label, so only is_valid stands between it and
+    # eco.parent's constructor, which would raise with no witness
+    "se-child-keeps-its-label-at-row-0": (
+        _se_child_at_row_0,
+        {"eco-partition", "corner-identities"},
+        "invalid child",
+        lambda cols: any(lo == 0 for lo, _ in cols),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", MALFORMED_CHILDREN)
+def test_a_malformed_child_fails_exactly_its_checks(monkeypatch, defect):
+    plant, failing, detail, hit = MALFORMED_CHILDREN[defect]
+    monkeypatch.setattr(census, "_LEVELS", [census._ROOT])
+    monkeypatch.setattr(census, "_REPLAY", census._ROOT)
+    monkeypatch.setattr(eco, "children", plant(eco.children))
+    failed = {result.name: result for result in verification.run_checks(**BOUNDS) if not result.ok}
+    assert set(failed) == failing
+    assert failed["eco-partition"].detail == detail
+    for result in failed.values():
+        assert hit(json.loads(result.witness)["cols"]), result
 
 
 def test_a_check_that_raises_fails_under_its_own_name(monkeypatch):
