@@ -132,19 +132,10 @@ class _OutFile:
             self.handle.close()
 
 
-def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
-    if args.out:
-        return _OutFile(args.out)
-    return contextlib.nullcontext(sys.stdout)
-
-
 def _cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     _refuse_above("--n", args.n, census.MAX_N, "census")
-    if args.seq:
-        for n in range(1, args.n + 1):
-            print(census.count(n), file=out)
-    else:
-        print(census.count(args.n), file=out)
+    for n in range(1 if args.seq else args.n, args.n + 1):
+        print(census.count(n), file=out)
     return 0
 
 
@@ -300,7 +291,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _open_out(args) as out:
+        with _OutFile(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
             return _COMMANDS[args.command](args, out)
     except BrokenPipeError:
         # the reader closed stdout (``generate | head``): stop quietly, and

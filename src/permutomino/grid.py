@@ -221,10 +221,6 @@ class PermPair:
         if any(a == b for a, b in zip(self.pi1, self.pi2)):
             raise ValueError("permutations must be pointwise distinct")
 
-    @property
-    def n(self) -> int:
-        return len(self.pi1) - 1
-
 
 @dataclass(frozen=True)
 class ReentrantPermutation:
@@ -238,20 +234,14 @@ class ReentrantPermutation:
     sigma: tuple[int, ...]
     symbols: tuple[str, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.sigma)
+
+def _cols_of(shape: "Permutomino | Sequence[Interval]") -> Sequence[Interval]:
+    # a shape's columns, or the sequence as given: every reader only indexes,
+    # slices and iterates over its pairs, so a list needs no copy
+    return shape.cols if isinstance(shape, Permutomino) else shape
 
 
-def _cols_of(shape: "Permutomino | Sequence[Interval]") -> tuple[Interval, ...]:
-    if isinstance(shape, Permutomino):
-        return shape.cols
-    if isinstance(shape, tuple):
-        return shape
-    return tuple((lo, hi) for lo, hi in shape)
-
-
-def _sides(cols: tuple[Interval, ...]) -> list[tuple[Interval | None, Interval | None]]:
+def _sides(cols: Sequence[Interval]) -> list[tuple[Interval | None, Interval | None]]:
     # clockwise vertical sides (y_from, y_to) at abscissas 1..n+1, as the
     # pair (side on the top path, side on the bottom path).  The top path
     # runs left to right from (1, lo_1) and opens with the left side; the
@@ -344,7 +334,7 @@ def is_convex(shape: "Permutomino | Sequence[Interval]") -> bool:
     return not any(fall in kinds and rise in kinds[kinds.index(fall) :] for fall, rise in pairs)
 
 
-def _single_sides(cols: tuple[Interval, ...]) -> list[Interval] | None:
+def _single_sides(cols: Sequence[Interval]) -> list[Interval] | None:
     # the one vertical side at each abscissa, or None unless each grid line
     # carries exactly one side: n + 1 single sides whose starts, where the
     # horizontal sides sit, are distinct and span n.  lo_min and hi_max + 1
@@ -487,16 +477,14 @@ def from_permutations(pair: PermPair) -> Permutomino:
         raise DisconnectedPair("boundary splits into several loops")
 
     # downward ray casting per column strip: a cell is inside iff an odd
-    # number of horizontal sides spans the strip at or below the cell.
+    # number of horizontal sides spans the strip at or below the cell.  The
+    # one simple loop, with sides at x = 1 and x = m, crosses each strip 2, 4, ... times.
     cols: list[Interval] = []
     for i in range(1, m):
         flips = [y for y in range(1, m + 1) if horiz[y][0] <= i and horiz[y][1] >= i + 1]
-        if len(flips) == 2:
-            cols.append((flips[0], flips[1] - 1))
-        elif len(flips) >= 4:
+        if len(flips) > 2:
             raise NotColumnConvex(f"column {i} encloses several cell runs")
-        else:
-            raise DisconnectedPair("interior misses a column strip")
+        cols.append((flips[0], flips[1] - 1))
     return Permutomino(tuple(cols))
 
 
@@ -610,16 +598,10 @@ def render_svg(p: Permutomino) -> str:
     parts.append(f'<path d="{path} Z" fill="none" stroke="black" stroke-width="2"/>')
     report = corner_report(bw)
     half = 4
-    for (x, y), _kind in report.salient:
-        px, py = _svg_point(x, y, height)
-        parts.append(
-            f'<rect x="{px - half}" y="{py - half}" width="{2 * half}" height="{2 * half}" fill="black"/>'
-        )
-    for (x, y), _kind in report.reentrant:
-        px, py = _svg_point(x, y, height)
-        parts.append(
-            f'<rect x="{px - half}" y="{py - half}" width="{2 * half}" height="{2 * half}" '
-            f'fill="white" stroke="black" stroke-width="1.5"/>'
-        )
+    styles = ('fill="black"', 'fill="white" stroke="black" stroke-width="1.5"')
+    for corners, style in zip((report.salient, report.reentrant), styles):
+        for (x, y), _kind in corners:
+            px, py = _svg_point(x, y, height)
+            parts.append(f'<rect x="{px - half}" y="{py - half}" width="{2 * half}" height="{2 * half}" {style}/>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -128,9 +128,6 @@ class TruncatedSeries:
             raise ArithmeticError(f"a coefficient is not divisible by {other}")
         return TruncatedSeries.from_coeffs(quotients, self.order)
 
-    def __rtruediv__(self, other: int) -> "TruncatedSeries":
-        return self._coerce(other) * self.inverse()
-
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1.
 
@@ -153,19 +150,15 @@ class TruncatedSeries:
             v.append(half)
         return TruncatedSeries(tuple(v))
 
-    def shift(self, k: int = 1) -> "TruncatedSeries":
-        """Multiply by t^k (the top k coefficients fall off the truncation)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        zeros = (0,) * min(k, self.order + 1)
-        return TruncatedSeries((zeros + self.coeffs)[: self.order + 1])
+    def shift(self) -> "TruncatedSeries":
+        """Multiply by t (the top coefficient falls off the truncation)."""
+        return TruncatedSeries((0,) + self.coeffs[:-1])
 
-    def divide_by_t(self, k: int = 1) -> "TruncatedSeries":
-        """Divide by t^k; the k lowest coefficients must vanish.  The order
-        drops by k."""
-        if any(self.coeffs[:k]):
+    def divide_by_t(self) -> "TruncatedSeries":
+        """Divide by t; the constant term must vanish.  The order drops by 1."""
+        if self.coeffs[0]:
             raise ValueError("low-order coefficients are not zero")
-        return TruncatedSeries(self.coeffs[k:])
+        return TruncatedSeries(self.coeffs[1:])
 
 
 def sqrt_1m4t(order: int) -> TruncatedSeries:
@@ -216,13 +209,13 @@ def kernel_root(order: int) -> TruncatedSeries:
     """
     # computed at order+1 so that the division by t keeps full precision
     s = sqrt_1m4t(order + 1)
-    return ((1 - s) / 2).divide_by_t(1)
+    return ((1 - s) / 2).divide_by_t()
 
 
 def kernel_residual(order: int) -> TruncatedSeries:
     """1 - s0 + t s0^2, identically zero when s0 is a true kernel root."""
     s0 = kernel_root(order)
-    return 1 - s0 + (s0 * s0).shift(1)
+    return 1 - s0 + (s0 * s0).shift()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from .census import (
     count,
     production,
 )
-from .grid import Permutomino, boundary_word, classify, corner_report, is_valid, reentrant_corners, reentrant_matrix
+from .grid import Permutomino, boundary_word, classify, corner_report, is_permutomino, is_valid
+from .grid import reentrant_corners, reentrant_matrix
 
 SEQUENCE = (1, 4, 18, 84, 394, 1836, 8468)
 
@@ -165,6 +166,7 @@ def check_oracle_triangulation(max_n: int) -> CheckResult:
 
 def check_corollaries(max_n: int = 20) -> CheckResult:
     name = "corollaries"
+    directed = series.series_directed(max_n)
     for n in range(1, max_n + 1):
         b, r, _ = census(n).by_class()
         if b != closed_stack(n):
@@ -173,6 +175,8 @@ def check_corollaries(max_n: int = 20) -> CheckResult:
             return _fail(name, f"class-R mass {r} is odd at n={n}")
         if b + r // 2 != closed_directed(n):
             return _fail(name, f"B + R/2 != C(2n,n)/2 at n={n}")
+        if directed[n] != closed_directed(n):
+            return _fail(name, f"[t^{n}] directed series = {directed[n]} != C(2n,n)/2")
     return CheckResult(name, True, f"stack = 2^(n-1) and B + R/2 = C(2n,n)/2 for n <= {max_n}")
 
 
@@ -201,7 +205,17 @@ def check_kernel(order: int = 30) -> CheckResult:
 
 
 def check_pair_oracle(max_n: int) -> CheckResult:
-    return _matches_census("pair-oracle", "pair reconstruction", oracle.count_pair_permutominoes, max_n)
+    name = "pair-oracle"
+    for n in range(1, max_n + 1):
+        pairs = oracle.classify_pairs(n)
+        got, want = pairs.distinct_convex, count(n)
+        if got != want:
+            return _fail(name, f"pair reconstruction found {got} at n={n}, census says {want}")
+        if pairs.valid_convex_pairs != 2 * got:
+            return _fail(name, f"{pairs.valid_convex_pairs} ordered pairs give {got} convex shapes at n={n}")
+        if bad := [cols for cols in pairs.convex_forms if not is_permutomino(cols)]:
+            return _fail(name, f"a reconstructed shape of size {n} is not a permutomino", Permutomino(bad[0]))
+    return CheckResult(name, True, f"pair reconstruction == census for n <= {max_n}")
 
 
 # Checks run in one forked worker beside eco-partition, where os.fork exists.

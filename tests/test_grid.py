@@ -231,7 +231,6 @@ def test_reentrant_matrix_l_shape():
 def test_reentrant_matrix_unit_cell_empty():
     rp = reentrant_matrix(UNIT)
     assert rp.sigma == ()
-    assert rp.size == 0
 
 
 def test_reentrant_matrix_is_permutation(levels):
@@ -255,12 +254,14 @@ def test_reentrant_matrix_and_parent_do_not_walk_the_boundary(monkeypatch):
 
 
 def test_raw_columns_in_a_tuple_are_read_without_a_copy():
-    # eco.parent hands reentrant_corners the tuple p.cols[-2:]; lists are converted
+    # eco.parent hands reentrant_corners the tuple p.cols[-2:]; a list is read as given
     from permutomino import grid
 
     cols = ((1, 2), (1, 1))
     assert grid._cols_of(cols) is cols
-    assert grid._cols_of([[1, 2], (1, 1)]) == cols
+    listed = [[1, 2], [1, 1]]
+    for reader in (grid.boundary_word, grid.reentrant_corners, grid.is_convex, grid.is_permutomino):
+        assert reader(listed) == reader(cols)
 
 
 def test_corner_identities_fail_when_the_profiles_disagree_with_the_word(monkeypatch):

@@ -94,8 +94,11 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "census" not in permutomino.__all__
     assert not hasattr(permutomino.Permutomino, "cell_count")
-    for name in ("from_terms", "at_s1", "constant_in_s", "integer_coeffs"):
+    for name in ("from_terms", "at_s1", "constant_in_s", "integer_coeffs", "__rtruediv__"):
         assert not hasattr(permutomino.TruncatedSeries, name), name
+    assert not hasattr(importlib.import_module("permutomino.cli"), "_open_out")
+    assert not hasattr(permutomino.PermPair, "n")
+    assert not hasattr(permutomino.ReentrantPermutation, "size")
 
 
 def test_boundary_geometry_lives_in_the_profile_scan():

@@ -226,5 +226,5 @@ def test_one_wrong_multiplicity_breaks_both_equations(monkeypatch):
 
 def test_truncated_series_shift():
     t = TruncatedSeries.from_coeffs([0, 1], 4)
-    assert (t.shift(2)).coeffs == TruncatedSeries.from_coeffs([0, 0, 0, 1], 4).coeffs
+    assert t.shift().shift().coeffs == TruncatedSeries.from_coeffs([0, 0, 0, 1], 4).coeffs
     assert TruncatedSeries.constant(7, 3)[0] == 7

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from permutomino import census, eco, oracle, series, verification
-from permutomino.grid import BoundaryWord, Permutomino
+from permutomino.grid import UNIT, BoundaryWord, DisconnectedPair, Permutomino
 from permutomino.series import TruncatedSeries
 
 BOUNDS = dict(max_n=5, oracle_n=5, order=4, pair_n=3)
@@ -109,6 +109,25 @@ def _bump_level_5(real):
     return step
 
 
+def _drop_a_unit_pair(real):
+    # the unit cell's pair with pi1 = (2, 1) no longer closes into a shape
+    def dropping(pair):
+        if pair.pi1 == (2, 1):
+            raise DisconnectedPair("planted")
+        return real(pair)
+
+    return dropping
+
+
+def _unit_as_domino(real):
+    # both pairs of the unit cell rebuild the domino, a convex shape with two cells
+    def rebuilt(pair):
+        shape = real(pair)
+        return Permutomino(((1, 1), (1, 1))) if shape == UNIT else shape
+
+    return rebuilt
+
+
 def _nw_column_at_row_0(real):
     # every NW child's new column reaches down to row 0, built as children builds
     def planted(p):
@@ -147,6 +166,9 @@ DEFECTS = {
     "closed-count-off-at-30": (verification, "closed_count", _plus_one_at(30), {"closed-form"}, None),
     "g-series-off-at-its-order": (series, "series_n1", _bump_last_coefficient, {"series"}, None),
     "closed-directed-off-at-15": (verification, "closed_directed", _plus_one_at(15), {"corollaries"}, None),
+    "directed-series-off-at-its-order": (series, "series_directed", _bump_last_coefficient, {"corollaries"}, None),
+    "pair-oracle-drops-a-unit-pair": (oracle, "from_permutations", _drop_a_unit_pair, {"pair-oracle"}, None),
+    "pair-oracle-rebuilds-a-domino": (oracle, "from_permutations", _unit_as_domino, {"pair-oracle"}, lambda p: p.cols == ((1, 1), (1, 1))),
     "closed-convex-off-at-6": (verification, "closed_convex_polyominoes", _plus_one_at(6), {"oracle-calibration"}, None),
     "bivariate-r-entry-off": (series, "census_bivariate", _bump_an_r_entry, {"functional-equations"}, None),
     "kernel-root-off-at-its-order": (series, "kernel_root", _bump_last_coefficient, {"kernel-root"}, None),
