@@ -22,10 +22,10 @@ from . import census
 # for annotations only, so that typing is not imported at run time
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import IO, Callable
+    from typing import IO, Callable, Iterator
 
+    from .census import Key
     from .eco import OperationTag
-    from .grid import Permutomino
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
@@ -153,26 +153,48 @@ def _cmd_census(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _record_line(
-    p: Permutomino,
-    key: tuple[int, str],
-    path: tuple[OperationTag, ...] | None,
-    col_text: dict[tuple[int, int], str],
-) -> str:
-    # json.dumps(p.to_record()) plus the path, written out: the walker
-    # carries the label, every value is an int or a plain ASCII word, and
-    # ``col_text`` keeps each column's text once it is formatted
-    try:
-        cols = ", ".join([col_text[col] for col in p.cols])
-    except KeyError:
-        for lo, hi in p.cols:
-            col_text[lo, hi] = f"[{lo}, {hi}]"
-        cols = ", ".join([col_text[col] for col in p.cols])
-    line = f'{{"n": {p.n}, "cols": [{cols}], "label": {{"k": {key[0]}, "class": "{key[1]}"}}'
-    if path is not None:
-        steps = '", "'.join(map(str, path))
-        line += f', "path": ["{steps}"]' if path else ', "path": []'
-    return line + "}\n"
+def _record_lines(n: int, paths: bool) -> Iterator[str]:
+    """Every line of ``generate --n n``: ``json.dumps`` of each record, plus
+    its path with ``paths``, written out, because the walker carries each
+    label and every value is an int or a plain ASCII word.
+
+    A parent's ``(key, top)`` fixes its children's tags and labels, so the
+    text after a child's columns is formatted once per ``(key, top)``, the
+    record head once, the parent's path once per parent and each column once.
+    """
+    from . import eco
+
+    head = f'{{"n": {n}, "cols": ['
+    # a shape of size n fits in n rows
+    col_text = {(lo, hi): f"[{lo}, {hi}]" for hi in range(1, n + 1) for lo in range(1, hi + 1)}
+
+    def ends(labelled: list[tuple[Key, OperationTag | None]]) -> tuple[list[str], list[str]]:
+        # the text before and after the parent's path, for each child in
+        # turn; interned, because families share most of it
+        before = [
+            f'], "label": {{"k": {k}, "class": "{group}"}}' + (', "path": [' if paths else "}\n")
+            for (k, group), _ in labelled
+        ]
+        after = [(f'"{tag}"]}}\n' if tag else "]}\n") if paths else "" for _, tag in labelled]
+        return list(map(sys.intern, before)), list(map(sys.intern, after))
+
+    # the ends of each parent's children, by the parent's (key, top); the
+    # single cell, which has no parent, under None
+    known = {None: ends([((1, "B"), None)])}
+    if n == 1:
+        families = [(None, (), [(None, eco.UNIT)])]
+    else:
+        families = (((key, top), path, kids) for p, key, top, path, kids in eco.walk(n - 1) if p.n == n - 1)
+    for family, path, kids in families:
+        if family not in known:
+            key, top = family
+            known[family] = ends([(eco.child_label(key, tag, top), tag) for tag, _ in kids])
+        before, after = known[family]
+        steps = "".join([f'"{tag}", ' for tag in path]) if paths else ""
+        yield from [
+            f"{head}{', '.join(map(col_text.__getitem__, child.cols))}{b}{steps}{a}"
+            for (_, child), b, a in zip(kids, before, after)
+        ]
 
 
 # records per write: on an unbuffered stdout (PYTHONUNBUFFERED, ``-u``)
@@ -184,11 +206,7 @@ def _cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
     from . import eco
 
     _refuse_above("--n", args.n, eco.MAX_N, "generation")
-    col_text: dict[tuple[int, int], str] = {}
-    lines = (
-        _record_line(p, key, path if args.paths else None, col_text)
-        for p, key, path in eco.iter_with_paths(args.n)
-    )
+    lines = _record_lines(args.n, args.paths)
     while block := "".join(islice(lines, _GENERATE_BLOCK)):
         out.write(block)
     return 0

@@ -34,7 +34,7 @@ from .grid import Interval, Permutomino, UNIT, reentrant_corners
 
 # The largest ``generate --n``, set by output volume: count(12) is 15.2 M
 # records and count(13) 66.6 M.  generate --n 12 into /dev/null takes about
-# 135 s cold on two cores at a 17 MiB peak; the walker's own memory, about
+# 70 s cold on two cores at a 17 MiB peak; the walker's own memory, about
 # 30 n**3 bytes, is negligible at these sizes.
 MAX_N = 12
 

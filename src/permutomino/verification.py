@@ -11,9 +11,11 @@ import json
 import os
 import pickle
 import signal
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain
+from math import factorial
 from typing import BinaryIO
 
 from . import eco, oracle, series
@@ -204,6 +206,14 @@ def check_kernel(order: int = 30) -> CheckResult:
     )
 
 
+def _derangements(m: int) -> int:
+    # D(0) = 1 and D(i) = i D(i-1) + (-1)^i: 1, 0, 1, 2, 9, 44, ...
+    d = 1
+    for i in range(1, m + 1):
+        d = i * d + (-1) ** i
+    return d
+
+
 def check_pair_oracle(max_n: int) -> CheckResult:
     name = "pair-oracle"
     for n in range(1, max_n + 1):
@@ -215,6 +225,18 @@ def check_pair_oracle(max_n: int) -> CheckResult:
             return _fail(name, f"{pairs.valid_convex_pairs} ordered pairs give {got} convex shapes at n={n}")
         if bad := [cols for cols in pairs.convex_forms if not is_permutomino(cols)]:
             return _fail(name, f"a reconstructed shape of size {n} is not a permutomino", Permutomino(bad[0]))
+        # (n+1)! choices of pi1, each with D(n+1) pointwise-distinct pi2
+        want = factorial(n + 1) * _derangements(n + 1)
+        if pairs.total_pairs != want:
+            return _fail(name, f"{pairs.total_pairs} pointwise-distinct pairs at n={n}, (n+1)! D(n+1) = {want}")
+        buckets = (
+            pairs.valid_convex_pairs
+            + pairs.valid_nonconvex_pairs
+            + pairs.disconnected_pairs
+            + pairs.self_intersecting_pairs
+        )
+        if buckets != pairs.total_pairs:
+            return _fail(name, f"the outcome buckets hold {buckets} of {pairs.total_pairs} pairs at n={n}")
     return CheckResult(name, True, f"pair reconstruction == census for n <= {max_n}")
 
 
@@ -232,21 +254,30 @@ def _run(name: str, check: Callable[..., CheckResult], args: tuple) -> CheckResu
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
-def _fork(checks: list) -> tuple[int, BinaryIO]:
+def _fork(checks: list) -> tuple[int, BinaryIO, int]:
     """Fork a worker that runs ``checks`` in order and writes each pickled
-    result to the pipe it returns; the worker never returns here."""
+    result to the pipe it returns; the worker never returns here.
+
+    Only the caller holds the write end of the lifeline, the third value
+    returned: the worker exits at once when it reads end-of-file there, so
+    it ends with a caller that closes it or dies, even by SIGKILL.
+    """
     read, write = os.pipe()
+    lifeline, held = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read)
+            os.close(held)
+            threading.Thread(target=lambda: os.read(lifeline, 1) or os._exit(1), daemon=True).start()
             for check in checks:
                 os.write(write, pickle.dumps(_run(*check)))
             os._exit(0)
         finally:
             os._exit(1)
     os.close(write)
-    return pid, os.fdopen(read, "rb")
+    os.close(lifeline)
+    return pid, os.fdopen(read, "rb"), held
 
 
 def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterator[CheckResult]:
@@ -256,7 +287,8 @@ def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterato
     that raises fails under its own name, with the exception's type and
     message as its detail, and the checks after it still run. Where
     ``os.fork`` exists, ``_IN_WORKER`` runs in a worker process that lives
-    from eco-partition's start until this generator ends or is closed.
+    from eco-partition's start until this generator ends or is closed, or
+    its process dies.
     """
     checks = [
         ("sequence", check_sequence, ()),
@@ -271,11 +303,11 @@ def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterato
         ("kernel-root", check_kernel, ()),
         ("pair-oracle", check_pair_oracle, (pair_n,)),
     ]
-    pid = pipe = status = None
+    pid = pipe = held = status = None
     try:
         for name, check, args in checks:
             if name == "eco-partition" and hasattr(os, "fork"):
-                pid, pipe = _fork([c for c in checks if c[0] in _IN_WORKER])
+                pid, pipe, held = _fork([c for c in checks if c[0] in _IN_WORKER])
             if pipe is None or name not in _IN_WORKER:
                 yield _run(name, check, args)
                 continue
@@ -289,6 +321,7 @@ def run_checks(*, max_n: int, oracle_n: int, order: int, pair_n: int) -> Iterato
     finally:
         if pipe is not None:
             pipe.close()
+            os.close(held)
             if status is None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -173,21 +174,37 @@ def test_generate_output_matches_the_golden_digest(capsys, paths):
 
 @pytest.mark.parametrize("paths", [False, True])
 def test_record_lines_with_multi_digit_bounds_are_the_json_records(paths):
-    # the golden digests stop at n = 8, where every bound has one digit
+    # the golden digests stop at n = 8, where every bound has one digit; this
+    # also reads the walker's batches against iter_with_paths
     from itertools import islice
 
-    from permutomino.cli import _record_line
+    from permutomino.cli import _record_lines
     from permutomino.eco import iter_with_paths
 
-    col_text = {}
-    wide = 0
-    for p, key, path in islice(iter_with_paths(12), 2000):
+    wide = widest = 0
+    lines = islice(_record_lines(12, paths), 2000)
+    for (p, key, path), line in zip(islice(iter_with_paths(12), 2000), lines, strict=True):
         record = p.to_record()
         if paths:
             record["path"] = [str(tag) for tag in path]
-        assert _record_line(p, key, path if paths else None, col_text) == json.dumps(record) + "\n"
+        assert line == json.dumps(record) + "\n"
         wide += key[0] >= 10
-    assert wide > 0 and max(hi for _, hi in col_text) >= 10
+        widest = max(widest, *(hi for _, hi in p.cols))
+    assert wide > 0 and widest >= 10
+
+
+def test_generate_calls_children_once_on_each_shape_below_n(capsys, monkeypatch):
+    # the traced benchmark counts eco.children calls exactly, through a
+    # wrapper in its place as here: sum(count(1..6)) at n = 7
+    from permutomino import census, eco
+
+    calls = []
+    real = eco.children
+    monkeypatch.setattr(eco, "children", lambda p: calls.append(p) or real(p))
+    code, out = run(capsys, "generate", "--n", "7")
+    assert code == 0 and out.count("\n") == 8468
+    assert len(calls) == sum(census.count(n) for n in range(1, 7)) == 2337
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize(
@@ -436,19 +453,26 @@ def test_generate_above_its_cap_is_refused_before_any_output(capsys, monkeypatch
 
     assert permutomino.eco.MAX_N == 12
     walked = []
-    real = permutomino.eco.iter_with_paths
-    monkeypatch.setattr(permutomino.eco, "iter_with_paths", lambda n: walked.append(n) or real(min(n, 2)))
+    real = permutomino.eco.walk
+
+    def stand_in(max_n):
+        # the walk to size 1, its single cell posing as a shape of size
+        # max_n, so that its 4 children of size 2 are written
+        walked.append(max_n)
+        return ((SimpleNamespace(n=max_n), *rest) for _, *rest in real(1))
+
+    monkeypatch.setattr(permutomino.eco, "walk", stand_in)
     assert main(["generate", "--n", "13"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --n 13 is above the generation cap of 12\n"
     assert walked == []
-    # the cap itself and the generate-stream benchmark's n = 9 run; the
-    # stand-in walker writes the 4 shapes of size 2 instead
+    # the cap itself and the generate-stream benchmark's n = 9 run, each
+    # walked to the size below it
     for n in (12, 9):
         assert main(["generate", "--n", str(n)]) == 0
         assert capsys.readouterr().out.count("\n") == 4
-    assert walked == [12, 9]
+    assert walked == [11, 8]
 
 
 def test_series_defaults_and_benchmark_orders_are_under_the_caps():

@@ -5,10 +5,17 @@ suite at small bounds and asserts the exact set of checks that fail, plus
 the shape each witness names wherever one shape is to blame.
 """
 
+import contextlib
+import dataclasses
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
+import time
+from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +135,28 @@ def _unit_as_domino(real):
     return rebuilt
 
 
+def _drop_a_disconnected_pair(real):
+    # one disconnected pair leaves the count altogether, total included
+    def dropping(n):
+        pairs = real(n)
+        if not pairs.disconnected_pairs:
+            return pairs
+        return dataclasses.replace(
+            pairs, total_pairs=pairs.total_pairs - 1, disconnected_pairs=pairs.disconnected_pairs - 1
+        )
+
+    return dropping
+
+
+def _one_pair_in_two_buckets(real):
+    # one pair is counted as self-intersecting as well as in its own bucket
+    def doubled(n):
+        pairs = real(n)
+        return dataclasses.replace(pairs, self_intersecting_pairs=pairs.self_intersecting_pairs + 1)
+
+    return doubled
+
+
 def _nw_column_at_row_0(real):
     # every NW child's new column reaches down to row 0, built as children builds
     def planted(p):
@@ -169,6 +198,8 @@ DEFECTS = {
     "directed-series-off-at-its-order": (series, "series_directed", _bump_last_coefficient, {"corollaries"}, None),
     "pair-oracle-drops-a-unit-pair": (oracle, "from_permutations", _drop_a_unit_pair, {"pair-oracle"}, None),
     "pair-oracle-rebuilds-a-domino": (oracle, "from_permutations", _unit_as_domino, {"pair-oracle"}, lambda p: p.cols == ((1, 1), (1, 1))),
+    "pair-oracle-drops-a-disconnected-pair": (oracle, "classify_pairs", _drop_a_disconnected_pair, {"pair-oracle"}, None),
+    "pair-oracle-counts-a-pair-twice": (oracle, "classify_pairs", _one_pair_in_two_buckets, {"pair-oracle"}, None),
     "closed-convex-off-at-6": (verification, "closed_convex_polyominoes", _plus_one_at(6), {"oracle-calibration"}, None),
     "bivariate-r-entry-off": (series, "census_bivariate", _bump_an_r_entry, {"functional-equations"}, None),
     "kernel-root-off-at-its-order": (series, "kernel_root", _bump_last_coefficient, {"kernel-root"}, None),
@@ -186,6 +217,13 @@ DEFECTS = {
 
 def test_every_check_passes_at_the_table_bounds():
     assert all(result.ok for result in verification.run_checks(**BOUNDS))
+
+
+def test_the_pair_total_is_the_factorial_times_the_derangements():
+    # (n+1)! choices of pi1, each with D(n+1) pointwise-distinct pi2
+    totals = [factorial(n + 1) * verification._derangements(n + 1) for n in range(1, 5)]
+    assert totals == [2, 12, 216, 5280]
+    assert totals == [oracle.classify_pairs(n).total_pairs for n in range(1, 5)]
 
 
 def test_every_check_fails_in_some_row():
@@ -322,6 +360,55 @@ def test_the_worker_waits_on_no_lock_held_when_it_was_forked():
         holder.join(timeout=10)
     assert not holder.is_alive()
     assert all(result.ok for result in results)
+
+
+def _live_in_session(sid):
+    # pids of the session's processes that have not ended; a zombie has
+    # ended, whether or not anyone reaps it
+    live = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as stat:
+                # after the command name: state, ppid, pgrp, session
+                state, _, _, session = stat.read().rpartition(")")[2].split()[:4]
+        except OSError:
+            continue
+        if int(session) == sid and state not in ("Z", "X"):
+            live.append(int(pid))
+    return live
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_worker_ends_when_verify_is_killed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permutomino.cli", "verify", "--max-n", "5", "--pair-n", "5"],
+        stdout=subprocess.PIPE,
+        env=env,
+        start_new_session=True,
+        text=True,
+    )
+    try:
+        # corner-identities' line comes from the worker, which then has
+        # pair-oracle at n = 5 to run, seconds of work
+        for line in proc.stdout:
+            if "corner-identities" in line:
+                break
+        assert "corner-identities" in line
+        assert len(_live_in_session(proc.pid)) == 2  # verify and its worker
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2
+        while (live := _live_in_session(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.stdout.close()
+        proc.wait()
 
 
 def test_without_fork_the_checks_give_the_same_results(monkeypatch):
